@@ -16,12 +16,17 @@
 //! * `--dir <path>` — snapshot directory (default: current directory).
 //! * `--emit <file>` — also write the candidate snapshot (CI artifact).
 //!
+//! When gating, the candidate runs at the baseline's worker-thread count
+//! (`workload.threads`), so wall-clock rows compare like with like; the
+//! report header states both sides' threads and CPU counts.
+//!
 //! Exit codes: 0 = gate passed (or snapshot written), 1 = gate failed
 //! (per-stage delta report on stdout), 2 = usage or I/O error.
 
 use ramp_bench::telemetry::{
-    capture_snapshot, compare, latest_snapshot, load_snapshot, next_seq, render_report,
-    run_reference_workload, save_snapshot, snapshot_file_name, GateConfig, HarnessOptions,
+    capture_snapshot, compare, latest_snapshot, load_snapshot, next_seq, reference_workload,
+    render_report, run_harness, save_snapshot, snapshot_file_name, BenchSnapshot, GateConfig,
+    HarnessOptions,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -81,6 +86,28 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Resolves and loads the snapshot to gate against (`--against`, else the
+/// latest in `--dir`); the error is the exit code to return.
+fn load_baseline(args: &Args) -> Result<BenchSnapshot, ExitCode> {
+    let baseline_path = match &args.against {
+        Some(p) => p.clone(),
+        None => match latest_snapshot(&args.dir) {
+            Some((_, p)) => p,
+            None => {
+                eprintln!(
+                    "benchgate: no BENCH_*.json in {}; create one with --update",
+                    args.dir.display()
+                );
+                return Err(ExitCode::from(2));
+            }
+        },
+    };
+    load_snapshot(&baseline_path).map_err(|e| {
+        eprintln!("benchgate: {e}");
+        ExitCode::from(2)
+    })
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -107,13 +134,29 @@ fn main() -> ExitCode {
         gate.tolerance = t;
     }
 
+    // Gating needs the baseline first: the candidate runs at its thread
+    // count.
+    let baseline = if args.update {
+        None
+    } else {
+        match load_baseline(&args) {
+            Ok(b) => Some(b),
+            Err(code) => return code,
+        }
+    };
+    let mut config = reference_workload();
+    if let Some(b) = &baseline {
+        config.threads = usize::try_from(b.workload.threads).unwrap_or(1).max(1);
+    }
+
     eprintln!(
-        "benchgate: measuring reference workload (median of {} sample{}{})...",
+        "benchgate: measuring reference workload on {} thread(s) (median of {} sample{}{})...",
+        config.threads,
         opts.samples,
         if opts.samples == 1 { "" } else { "s" },
         if opts.warmup { " after warmup" } else { "" },
     );
-    let measurement = match run_reference_workload(&opts) {
+    let measurement = match run_harness(&config, &opts) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("benchgate: {e}");
@@ -148,27 +191,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline_path = match &args.against {
-        Some(p) => p.clone(),
-        None => match latest_snapshot(&args.dir) {
-            Some((_, p)) => p,
-            None => {
-                eprintln!(
-                    "benchgate: no BENCH_*.json in {}; create one with --update",
-                    args.dir.display()
-                );
-                return ExitCode::from(2);
-            }
-        },
+    let Some(baseline) = baseline else {
+        // Unreachable: gating always loaded a baseline above.
+        return ExitCode::from(2);
     };
-    let baseline = match load_snapshot(&baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("benchgate: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
     let report = compare(&baseline, &measurement, &gate);
     print!("{}", render_report(&report));
     if report.passed() {

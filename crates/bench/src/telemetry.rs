@@ -931,6 +931,14 @@ pub struct GateReport {
     /// Human-readable localization of numerical drift (empty when
     /// `digest_match`).
     pub numeric_diffs: Vec<String>,
+    /// Worker threads of the baseline's sweep.
+    pub baseline_threads: u64,
+    /// Worker threads of the candidate's sweep.
+    pub current_threads: u64,
+    /// CPUs available when the baseline was captured.
+    pub baseline_cpus: u64,
+    /// CPUs available to the candidate.
+    pub current_cpus: u64,
     /// Whole-study wall-clock row.
     pub total: StageDelta,
     /// Per-stage rows, baseline order, then new stages.
@@ -1131,6 +1139,13 @@ pub fn compare(baseline: &BenchSnapshot, current: &Measurement, gate: &GateConfi
 
     GateReport {
         baseline_seq: baseline.seq,
+        baseline_threads: baseline.workload.threads,
+        current_threads: current.workload.threads,
+        baseline_cpus: baseline.provenance.cpus,
+        current_cpus: current
+            .manifests
+            .first()
+            .map_or_else(|| Provenance::capture().cpus, |m| m.provenance.cpus),
         config_match,
         digest_match,
         fleet_digest_match,
@@ -1155,6 +1170,23 @@ pub fn render_report(report: &GateReport) -> String {
         report.baseline_seq,
         if report.passed() { "PASS" } else { "FAIL" }
     );
+    let _ = writeln!(
+        out,
+        "  baseline: {} thread(s) on {} CPU(s); candidate: {} thread(s) on {} CPU(s)",
+        report.baseline_threads, report.baseline_cpus, report.current_threads, report.current_cpus
+    );
+    if report.baseline_threads != report.current_threads {
+        let _ = writeln!(
+            out,
+            "  thread counts differ: wall-clock rows compare unlike sweeps"
+        );
+    }
+    if report.baseline_cpus != report.current_cpus {
+        let _ = writeln!(
+            out,
+            "  CPU counts differ: wall-clock rows compare different hosts"
+        );
+    }
 
     if !report.config_match {
         let _ = writeln!(
@@ -1414,6 +1446,28 @@ mod tests {
         let report = compare(&base, &measurement_like(&base), &GateConfig::standard());
         assert!(report.passed(), "{}", render_report(&report));
         assert!(report.digest_match);
+    }
+
+    #[test]
+    fn report_header_states_both_sides_threads_and_cpus() {
+        let mut base = snapshot_fixture();
+        base.provenance.cpus = 1;
+        let mut cur = measurement_like(&base);
+        let report = compare(&base, &cur, &GateConfig::standard());
+        let rendered = render_report(&report);
+        let cpus = Provenance::capture().cpus;
+        assert!(
+            rendered.contains(&format!(
+                "baseline: 1 thread(s) on 1 CPU(s); candidate: 1 thread(s) on {cpus} CPU(s)"
+            )),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("thread counts differ"), "{rendered}");
+        // A candidate at another thread count is flagged, not hidden.
+        cur.workload.threads = 2;
+        let rendered = render_report(&compare(&base, &cur, &GateConfig::standard()));
+        assert!(rendered.contains("candidate: 2 thread(s)"), "{rendered}");
+        assert!(rendered.contains("thread counts differ"), "{rendered}");
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub fn run_with_drm(
         &machine,
         TraceGenerator::new(profile),
         SimulationLength::Instructions(cfg.instructions),
-        node.frequency.cycles_in(Seconds::MICROSECOND),
+        node.interval_cycles(),
     );
     if out.activity.intervals().is_empty() {
         return Err(RampError::InvalidConfiguration(

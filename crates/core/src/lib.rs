@@ -65,7 +65,7 @@ pub use error::RampError;
 pub use executor::{Executor, THREADS_ENV};
 pub use manifest::{
     config_digest, fnv1a_hex, metric_entries_from_snapshot, results_digest, BenchSection,
-    CacheClassEntry, ManifestCacheStats, MetricEntry, Provenance, RunManifest, StageNode,
+    ManifestCacheStats, MetricEntry, Provenance, RunManifest, StageNode,
     MANIFEST_SCHEMA_VERSION,
 };
 pub use operating::OperatingPoint;

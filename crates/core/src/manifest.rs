@@ -156,18 +156,6 @@ pub struct MetricEntry {
     pub sum: f64,
 }
 
-/// Hit/miss counters for one timing-cache key class (the normalized key
-/// with the machine/profile fingerprints dropped, e.g. `len=i5000/ic=1100`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct CacheClassEntry {
-    /// Key class label.
-    pub class: String,
-    /// Hits recorded against this class.
-    pub hits: u64,
-    /// Misses recorded against this class.
-    pub misses: u64,
-}
-
 /// Timing-cache effectiveness at manifest-capture time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ManifestCacheStats {
@@ -177,9 +165,6 @@ pub struct ManifestCacheStats {
     pub misses: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Per-key-class hit/miss breakdown (absent in pre-tracing manifests).
-    #[serde(default)]
-    pub key_classes: Vec<CacheClassEntry>,
 }
 
 /// Process-wide heap-allocation counters at manifest-capture time
@@ -253,12 +238,7 @@ struct ConfigDigestView {
 /// backed by the byte-identity determinism tests).
 #[must_use]
 pub fn fnv1a_hex(json: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in json.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", ramp_obs::fnv1a_64(json))
 }
 
 /// Digest of a study configuration (stable across thread counts).
@@ -344,14 +324,6 @@ impl RunManifest {
                 hits: cache.hits,
                 misses: cache.misses,
                 entries: cache.entries as u64,
-                key_classes: ramp_microarch::timing_cache_class_stats()
-                    .into_iter()
-                    .map(|c| CacheClassEntry {
-                        class: c.class,
-                        hits: c.hits,
-                        misses: c.misses,
-                    })
-                    .collect(),
             },
             alloc: ramp_obs::alloc_tracking_enabled().then(|| {
                 let stats = ramp_obs::alloc_stats();
@@ -561,21 +533,31 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_classes_roundtrip_and_default() {
+    fn cache_stats_roundtrip_and_old_manifests_still_load() {
         let mut manifest = tiny_manifest();
-        manifest.cache.key_classes.push(CacheClassEntry {
-            class: "len=i5000/ic=1100".to_string(),
+        manifest.cache = ManifestCacheStats {
             hits: 3,
             misses: 1,
-        });
+            entries: 1,
+        };
         let json = serde_json::to_string(&manifest).unwrap();
         let back: RunManifest = serde_json::from_str(&json).unwrap();
         assert_eq!(back, manifest);
-        // Pre-tracing manifests have no key_classes field; it defaults.
-        let old: ManifestCacheStats =
-            serde_json::from_str(r#"{"hits":4,"misses":2,"entries":1}"#).unwrap();
-        assert_eq!(old.hits, 4);
-        assert!(old.key_classes.is_empty());
+        // Manifests written while the timing cache was keyed per interval
+        // carry a per-key-class breakdown; it is ignored on load.
+        let old: ManifestCacheStats = serde_json::from_str(
+            r#"{"hits":4,"misses":2,"entries":1,
+                "key_classes":[{"class":"len=i5000/ic=1100","hits":3,"misses":1}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            old,
+            ManifestCacheStats {
+                hits: 4,
+                misses: 2,
+                entries: 1
+            }
+        );
     }
 
     #[test]

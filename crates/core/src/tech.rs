@@ -6,7 +6,8 @@
 //! assumed per generation down to 90 nm and 0.8 from 90 nm to 65 nm.
 
 use ramp_units::{
-    Angstroms, CurrentDensity, Gigahertz, Nanometers, PowerDensity, SquareMillimeters, Volts,
+    Angstroms, CurrentDensity, Gigahertz, Nanometers, PowerDensity, Seconds, SquareMillimeters,
+    Volts,
 };
 use serde::{Deserialize, Serialize};
 
@@ -176,6 +177,30 @@ impl TechNode {
         NodeId::ALL.iter().map(|&id| TechNode::get(id)).collect()
     }
 
+    /// Cycles per 1 µs activity-sampling interval at this node's clock.
+    #[must_use]
+    pub fn interval_cycles(&self) -> u64 {
+        self.frequency.cycles_in(Seconds::MICROSECOND)
+    }
+
+    /// The distinct interval lengths of the paper's five nodes
+    /// ([`NodeId::ALL`]), ascending: 1100, 1350, 1650 and 2000 cycles.
+    ///
+    /// Every node runs the same machine, so one timing pass can bucket
+    /// its cycle stream at all of these at once. The projected 45 nm
+    /// point is left out: its 2440-cycle interval would shrink the
+    /// common bucket from 50 cycles to 10 for a node the study skips.
+    #[must_use]
+    pub fn study_interval_cycles() -> Vec<u64> {
+        let mut cycles: Vec<u64> = NodeId::ALL
+            .iter()
+            .map(|&id| TechNode::get(id).interval_cycles())
+            .collect();
+        cycles.sort_unstable();
+        cycles.dedup();
+        cycles
+    }
+
     /// Core area at this node (81 mm² at 180 nm, shrinking with
     /// `area_rel`).
     #[must_use]
@@ -290,6 +315,15 @@ mod tests {
         assert!(p.leakage_density.value() > n65.leakage_density.value());
         assert!((p.scale_factor - 0.392 * 0.8).abs() < 1e-12);
         assert!(p.core_area().value() < n65.core_area().value());
+    }
+
+    #[test]
+    fn interval_cycles_follow_frequency() {
+        assert_eq!(TechNode::get(NodeId::N180).interval_cycles(), 1100);
+        assert_eq!(TechNode::get(NodeId::N90).interval_cycles(), 1650);
+        assert_eq!(TechNode::get(NodeId::N65HighV).interval_cycles(), 2000);
+        assert_eq!(TechNode::get(NodeId::N45Projected).interval_cycles(), 2440);
+        assert_eq!(TechNode::study_interval_cycles(), [1100, 1350, 1650, 2000]);
     }
 
     #[test]

@@ -23,9 +23,18 @@
 //!   parallelism.
 //! * **Retire** — in order, one `retire_width` group per cycle.
 //!
-//! Each micro-event (fetch, dispatch, issue, per-unit execute) is recorded
-//! in an [`ActivityCollector`](crate::ActivityCollector) bucket, producing
-//! the per-interval activity factors the power model consumes. Wrong-path
+//! Each micro-event (fetch, dispatch, issue, per-unit execute, retire) is
+//! recorded once in an [`ActivityCollector`](crate::ActivityCollector),
+//! producing the per-interval activity factors the power model consumes —
+//! for every requested interval length from the one pass (see
+//! [`Engine::with_intervals`]). The collector counts events in fine
+//! buckets and folds them into each interval length's trace behind a
+//! watermark: the fetch cycle. Fetch time never decreases, and every
+//! event of an instruction (dispatch, issue, completion, retirement, and
+//! the wrong-path work charged at its fetch) happens at or after that
+//! instruction's fetch, so once fetch has passed a bucket no later event
+//! can land in it and the bucket is final. The collector's working set
+//! is therefore the in-flight window, not the run. Wrong-path
 //! work after a mispredict is charged to the front-end structures (IFU,
 //! IDU) at the machine's fetch rate for the duration of the redirect
 //! shadow, which is what makes low-IPC, mispredict-heavy codes (e.g. gcc)
@@ -48,7 +57,7 @@ pub enum SimulationLength {
 
 /// Result of a timing simulation: summary statistics plus the per-interval
 /// activity trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutput {
     /// Aggregate statistics.
     pub stats: SimStats,
@@ -247,6 +256,19 @@ impl Engine {
     /// `interval_cycles` is zero.
     #[must_use]
     pub fn new(config: &MachineConfig, interval_cycles: u64) -> Self {
+        Self::with_intervals(config, &[interval_cycles])
+    }
+
+    /// Creates an engine for `config` that buckets activity at every
+    /// length in `intervals_cycles` from the same cycle stream; see
+    /// [`Engine::finish_intervals`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`MachineConfig::validate`],
+    /// `intervals_cycles` is empty, or an interval is zero.
+    #[must_use]
+    pub fn with_intervals(config: &MachineConfig, intervals_cycles: &[u64]) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid machine configuration: {e}"); // ramp-lint:allow(panic-hygiene) -- documented constructor contract for invalid configs
         }
@@ -256,7 +278,10 @@ impl Engine {
             // Bimodal: synthetic traces visit branch sites in statistically
             // independent order, so global history is pure index noise.
             bpred: GsharePredictor::bimodal(14),
-            collector: ActivityCollector::new(interval_cycles, default_capacities(config)),
+            collector: ActivityCollector::with_intervals(
+                intervals_cycles,
+                default_capacities(config),
+            ),
             reg_ready: [0; ramp_trace::TOTAL_REGS as usize],
             rob: WindowResource::new(config.rob_entries),
             int_rename: WindowResource::new(config.int_rename_regs()),
@@ -333,6 +358,8 @@ impl Engine {
         }
         let fetch_time = self.fetch_cycle;
         self.fetched_this_cycle += 1;
+        // Every event from here on lands at or after `fetch_time`.
+        self.collector.advance(fetch_time);
         self.collector.record(Structure::Ifu, fetch_time, 1);
 
         // ---------------- Dispatch ---------------------------------------
@@ -536,15 +563,33 @@ impl Engine {
         self.last_retire_cycle = retire_time;
     }
 
-    /// Finalises the run, returning statistics and the activity trace.
+    /// The most fine activity buckets the collector has held at once;
+    /// bounded by the in-flight window, not the run length.
     #[must_use]
-    pub fn finish(mut self) -> SimulationOutput {
+    pub fn collector_high_water(&self) -> usize {
+        self.collector.ring_high_water()
+    }
+
+    /// Finalises the run, returning statistics and the activity trace of
+    /// the first interval length the engine was built with.
+    #[must_use]
+    pub fn finish(self) -> SimulationOutput {
+        let mut outputs = self.finish_intervals();
+        outputs.swap_remove(0)
+    }
+
+    /// Finalises the run, returning one output per interval length, in
+    /// the order given to [`Engine::with_intervals`]. All share the same
+    /// statistics.
+    #[must_use]
+    pub fn finish_intervals(mut self) -> Vec<SimulationOutput> {
         self.stats.cycles = self.last_retire_cycle;
-        let activity = self.collector.finish(self.last_retire_cycle);
-        SimulationOutput {
-            stats: self.stats,
-            activity,
-        }
+        let stats = self.stats;
+        self.collector
+            .finish(self.last_retire_cycle)
+            .into_iter()
+            .map(|activity| SimulationOutput { stats, activity })
+            .collect()
     }
 }
 
@@ -571,7 +616,36 @@ pub fn simulate<I>(
 where
     I: IntoIterator<Item = TraceRecord>,
 {
-    let mut engine = Engine::new(config, interval_cycles);
+    let mut outputs = simulate_intervals(config, trace, length, &[interval_cycles]);
+    outputs.swap_remove(0)
+}
+
+/// [`simulate`] for several interval lengths at once: one timing pass,
+/// one output per entry of `intervals_cycles` (in that order), each
+/// bit-identical to a [`simulate`] call at that length.
+///
+/// # Examples
+///
+/// ```
+/// use ramp_microarch::{simulate, simulate_intervals, MachineConfig, SimulationLength};
+/// use ramp_trace::{spec, TraceGenerator};
+/// let cfg = MachineConfig::power4_180nm();
+/// let p = spec::profile("gzip").unwrap();
+/// let len = SimulationLength::Instructions(10_000);
+/// let outs = simulate_intervals(&cfg, TraceGenerator::new(&p), len, &[1_100, 2_000]);
+/// let single = simulate(&cfg, TraceGenerator::new(&p), len, 2_000);
+/// assert_eq!(outs[1], single);
+/// ```
+pub fn simulate_intervals<I>(
+    config: &MachineConfig,
+    trace: I,
+    length: SimulationLength,
+    intervals_cycles: &[u64],
+) -> Vec<SimulationOutput>
+where
+    I: IntoIterator<Item = TraceRecord>,
+{
+    let mut engine = Engine::with_intervals(config, intervals_cycles);
     for rec in trace {
         engine.step(&rec);
         match length {
@@ -580,7 +654,7 @@ where
             _ => {}
         }
     }
-    engine.finish()
+    engine.finish_intervals()
 }
 
 #[cfg(test)]

@@ -37,11 +37,10 @@ pub use activity::{default_capacities, ActivityCollector, ActivityRecord, Activi
 pub use bpred::GsharePredictor;
 pub use cache::{Cache, DataHierarchy, HitLevel};
 pub use config::{CacheConfig, MachineConfig};
-pub use engine::{simulate, Engine, SimulationLength, SimulationOutput};
+pub use engine::{simulate, simulate_intervals, Engine, SimulationLength, SimulationOutput};
 pub use stats::SimStats;
 pub use structures::{PerStructure, Structure};
 pub use timing_cache::{
     clear_timing_cache, simulate_profile_cached, simulate_profile_cached_traced,
-    timing_cache_class_stats, timing_cache_stats, CacheOutcome, TimingCacheClassStats,
-    TimingCacheStats, TIMING_CACHE_CAPACITY,
+    timing_cache_stats, CacheOutcome, TimingCacheStats, TIMING_CACHE_CAPACITY,
 };

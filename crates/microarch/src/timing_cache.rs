@@ -2,85 +2,80 @@
 //!
 //! The timing simulation of a benchmark depends only on the machine
 //! configuration, the benchmark profile (trace generation is a pure
-//! function of the profile, seed included), the simulation length, and
-//! the activity-sampling interval. Study sweeps evaluate the same
-//! benchmark at several technology nodes, and nodes that share a clock
-//! frequency share the interval length too — so their timing passes are
-//! byte-identical and worth computing once.
+//! function of the profile, seed included), and the simulation length.
+//! The activity-sampling interval only changes how the one cycle stream
+//! is bucketed, so a single engine pass (see [`simulate_intervals`])
+//! yields the trace for every interval length at once. An entry is
+//! therefore keyed by (machine, profile, length) and holds the outputs
+//! of one pass for a set of interval lengths; a lookup for any interval
+//! in that set is a hit. A lookup for an interval the resident entry
+//! lacks re-simulates once with the union of both sets, so callers that
+//! name every interval they will need up front (`pass_intervals`) pay
+//! for exactly one pass per key.
 //!
-//! The cache is keyed by fingerprints of the serialized machine config
-//! and profile plus the two scalar parameters, holds results behind
-//! `Arc` so hits are O(1) clones, evicts least-recently-used entries
-//! beyond a fixed capacity, and deduplicates in-flight computations: if
-//! two workers ask for the same key simultaneously, one simulates and
-//! the other blocks on the same [`OnceLock`] rather than redoing the
-//! work. Results are bit-identical to a fresh [`simulate`] call by
-//! construction — the cache stores, it never recomputes or approximates.
+//! The key is made of fingerprints of the serialized machine config and
+//! profile plus the length. Results sit behind `Arc` so hits are O(1)
+//! clones; least-recently-used entries are evicted beyond a fixed
+//! capacity; and in-flight computations are deduplicated: if two workers
+//! ask for the same pass simultaneously, one simulates and the other
+//! blocks on the same [`OnceLock`] rather than redoing the work. Results
+//! are bit-identical to a fresh [`simulate`] call at the requested
+//! interval by construction — the cache stores, it never approximates.
+//!
+//! [`simulate`]: crate::simulate
 
-use crate::engine::{simulate, SimulationLength, SimulationOutput};
+use crate::engine::{simulate_intervals, SimulationLength, SimulationOutput};
 use crate::MachineConfig;
 use ramp_trace::{BenchmarkProfile, TraceGenerator};
-use std::collections::BTreeMap;
 use std::collections::HashMap; // ramp-lint:allow(determinism) -- keyed lookup only; iteration order never reaches output
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Maximum retained entries. A full 16-benchmark × 5-node study touches
-/// 64 distinct keys (the two 65 nm points share a frequency), so the
-/// whole sweep fits with room for ablation variants.
-pub const TIMING_CACHE_CAPACITY: usize = 128;
+/// Maximum retained entries. A full 16-benchmark study touches 16 keys
+/// (one pass per benchmark covers every node), so the whole sweep fits
+/// with room for a second machine or simulation length. An entry holds
+/// one trace per interval length of its pass (four in a study).
+pub const TIMING_CACHE_CAPACITY: usize = 32;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     machine: u64,
     profile: u64,
     length: (bool, u64),
-    interval_cycles: u64,
 }
 
 impl Key {
-    /// Canonical printable form of the full key: the two config
-    /// fingerprints plus the scalar parameters. This is what run
-    /// manifests record so a surprising hit rate can be traced back to
-    /// the exact lookups that produced it.
+    /// Canonical printable form of the key: the two config fingerprints
+    /// plus the simulation length. This is what run manifests and span
+    /// args record so a surprising hit rate can be traced back to the
+    /// exact lookups that produced it.
     fn normalized(&self) -> String {
+        let (cycles, n) = self.length;
         format!(
-            "m={:016x}/p={:016x}/{}/ic={}",
+            "m={:016x}/p={:016x}/len={}{n}",
             self.machine,
             self.profile,
-            length_label(self.length),
-            self.interval_cycles
+            if cycles { "c" } else { "i" }
         )
     }
-
-    /// The key *class*: the scalar parameters with the per-config
-    /// fingerprints dropped. Lookups in one class differ only by machine
-    /// or profile, so per-class hit/miss counters show which simulation
-    /// shapes share work (nodes with a common clock) and which never can.
-    fn class(&self) -> String {
-        format!("{}/ic={}", length_label(self.length), self.interval_cycles)
-    }
-}
-
-fn length_label(length: (bool, u64)) -> String {
-    let (cycles, n) = length;
-    format!("len={}{n}", if cycles { "c" } else { "i" })
 }
 
 /// FNV-1a over the canonical JSON encoding; collisions are astronomically
 /// unlikely across the handful of configs a process ever touches.
 fn fingerprint<T: serde::Serialize + ?Sized>(value: &T) -> u64 {
     let json = serde_json::to_string(value).expect("config types serialize infallibly"); // ramp-lint:allow(panic-hygiene) -- config types contain no non-serializable values
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in json.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    ramp_obs::fnv1a_64(&json)
+}
+
+/// One engine pass: the interval lengths it covers (sorted, distinct)
+/// and, once computed, one output per length in the same order.
+struct Pass {
+    intervals: Vec<u64>,
+    outputs: OnceLock<Vec<Arc<SimulationOutput>>>,
 }
 
 struct Entry {
-    cell: Arc<OnceLock<Arc<SimulationOutput>>>,
+    pass: Arc<Pass>,
     last_used: u64,
 }
 
@@ -92,15 +87,12 @@ struct CacheState {
 static CACHE: Mutex<Option<CacheState>> = Mutex::new(None);
 static HITS: AtomicU64 = AtomicU64::new(0); // ramp-lint:allow(atomic-ordering) -- monotone Relaxed telemetry counters
 static MISSES: AtomicU64 = AtomicU64::new(0); // ramp-lint:allow(atomic-ordering) -- monotone Relaxed telemetry counters
-/// Per-key-class (hits, misses), keyed by [`Key::class`]. BTreeMap so
-/// snapshots come out in a stable order.
-static CLASS_STATS: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
 
 /// Whether a [`simulate_profile_cached_traced`] lookup was served from
 /// the cache or had to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// The key was already resident (or in flight on another worker).
+    /// The interval was already resident (or in flight on another worker).
     Hit,
     /// This lookup ran (or is running) the simulation.
     Miss,
@@ -115,36 +107,6 @@ impl CacheOutcome {
             CacheOutcome::Miss => "miss",
         }
     }
-}
-
-/// One key class's cache counters (see [`timing_cache_class_stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimingCacheClassStats {
-    /// The class label: simulation length + interval cycles, e.g.
-    /// `len=i200000/ic=1100`.
-    pub class: String,
-    /// Lookups in this class served from the cache.
-    pub hits: u64,
-    /// Lookups in this class that simulated.
-    pub misses: u64,
-}
-
-/// Per-key-class hit/miss counters, in stable (sorted) class order.
-/// A class groups lookups by simulation length and interval cycles —
-/// the parameters nodes can share — so a low aggregate hit rate
-/// decomposes into "which shapes never coalesce".
-pub fn timing_cache_class_stats() -> Vec<TimingCacheClassStats> {
-    let guard = CLASS_STATS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    guard
-        .iter()
-        .map(|(class, &(hits, misses))| TimingCacheClassStats {
-            class: class.clone(),
-            hits,
-            misses,
-        })
-        .collect()
 }
 
 /// Counters describing cache effectiveness, for study summaries.
@@ -174,10 +136,6 @@ pub fn clear_timing_cache() {
     *guard = None;
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
-    CLASS_STATS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
 }
 
 /// Runs (or replays) the timing pass for a benchmark profile.
@@ -185,25 +143,33 @@ pub fn clear_timing_cache() {
 /// Returns exactly what
 /// `simulate(machine, TraceGenerator::new(profile), length, interval_cycles)`
 /// would, behind an `Arc`; the first caller per key simulates and later
-/// callers share the stored result. Concurrent callers with the same key
-/// block on the in-flight computation instead of duplicating it.
+/// callers share the stored result. A caller at an interval length the
+/// resident pass lacks simulates again, for both passes' lengths.
+/// Concurrent callers with the same key block on the in-flight
+/// computation instead of duplicating it.
 pub fn simulate_profile_cached(
     machine: &MachineConfig,
     profile: &BenchmarkProfile,
     length: SimulationLength,
     interval_cycles: u64,
 ) -> Arc<SimulationOutput> {
-    simulate_profile_cached_traced(machine, profile, length, interval_cycles).0
+    simulate_profile_cached_traced(machine, profile, length, interval_cycles, &[]).0
 }
 
-/// [`simulate_profile_cached`] plus cache visibility: also returns
-/// whether this lookup hit, and the normalized cache key it resolved to
-/// (for span args and run-manifest cache stats).
+/// [`simulate_profile_cached`] with the pass made explicit and the cache
+/// made visible.
+///
+/// On a miss, the one engine pass also fills every interval length in
+/// `pass_intervals` (plus those of the entry it replaces), so later
+/// lookups at those lengths hit. Also returns whether this lookup hit,
+/// and the normalized cache key it resolved to (for span args and
+/// run-manifest cache stats).
 pub fn simulate_profile_cached_traced(
     machine: &MachineConfig,
     profile: &BenchmarkProfile,
     length: SimulationLength,
     interval_cycles: u64,
+    pass_intervals: &[u64],
 ) -> (Arc<SimulationOutput>, CacheOutcome, String) {
     let key = Key {
         machine: fingerprint(machine),
@@ -212,10 +178,9 @@ pub fn simulate_profile_cached_traced(
             SimulationLength::Instructions(n) => (false, n),
             SimulationLength::Cycles(c) => (true, c),
         },
-        interval_cycles,
     };
 
-    let (cell, outcome) = {
+    let (pass, outcome) = {
         let mut guard = CACHE.lock().expect("timing cache lock"); // ramp-lint:allow(panic-hygiene) -- lock poisoning implies a worker already panicked
         let state = guard.get_or_insert_with(|| CacheState {
             map: HashMap::new(), // ramp-lint:allow(determinism) -- keyed lookup only; iteration order never reaches output
@@ -223,37 +188,41 @@ pub fn simulate_profile_cached_traced(
         });
         state.tick += 1;
         let tick = state.tick;
-        let (cell, outcome) = match state.map.get_mut(&key) {
+        let resident = state
+            .map
+            .get_mut(&key)
+            .filter(|entry| entry.pass.intervals.binary_search(&interval_cycles).is_ok());
+        let (pass, outcome) = match resident {
             Some(entry) => {
                 HITS.fetch_add(1, Ordering::Relaxed);
                 ramp_obs::counter("timing_cache.hits").incr();
                 entry.last_used = tick;
-                (Arc::clone(&entry.cell), CacheOutcome::Hit)
+                (Arc::clone(&entry.pass), CacheOutcome::Hit)
             }
             None => {
                 MISSES.fetch_add(1, Ordering::Relaxed);
                 ramp_obs::counter("timing_cache.misses").incr();
-                let cell = Arc::new(OnceLock::new());
+                let mut intervals: Vec<u64> = pass_intervals.to_vec();
+                intervals.push(interval_cycles);
+                if let Some(old) = state.map.get(&key) {
+                    intervals.extend_from_slice(&old.pass.intervals);
+                }
+                intervals.sort_unstable();
+                intervals.dedup();
+                let pass = Arc::new(Pass {
+                    intervals,
+                    outputs: OnceLock::new(),
+                });
                 state.map.insert(
                     key,
                     Entry {
-                        cell: Arc::clone(&cell),
+                        pass: Arc::clone(&pass),
                         last_used: tick,
                     },
                 );
-                (cell, CacheOutcome::Miss)
+                (pass, CacheOutcome::Miss)
             }
         };
-        {
-            let mut classes = CLASS_STATS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let slot = classes.entry(key.class()).or_insert((0, 0));
-            match outcome {
-                CacheOutcome::Hit => slot.0 += 1,
-                CacheOutcome::Miss => slot.1 += 1,
-            }
-        }
         while state.map.len() > TIMING_CACHE_CAPACITY {
             // Evict the least-recently-used completed entry; in-flight
             // entries survive because their `Arc` is held by a worker
@@ -261,7 +230,7 @@ pub fn simulate_profile_cached_traced(
             let victim = state
                 .map
                 .iter()
-                .filter(|(k, e)| e.cell.get().is_some() && **k != key)
+                .filter(|(k, e)| e.pass.outputs.get().is_some() && **k != key)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             match victim {
@@ -272,31 +241,40 @@ pub fn simulate_profile_cached_traced(
             }
         }
         ramp_obs::gauge("timing_cache.entries").set(state.map.len() as f64);
-        (cell, outcome)
+        (pass, outcome)
     };
 
     // The simulation itself runs outside the map lock so other keys
-    // proceed in parallel; `get_or_init` serializes same-key callers.
-    let output = Arc::clone(cell.get_or_init(|| {
+    // proceed in parallel; `get_or_init` serializes same-pass callers.
+    let outputs = pass.outputs.get_or_init(|| {
         let in_flight = ramp_obs::gauge("timing_cache.in_flight");
         in_flight.add(1.0);
-        let span = ramp_obs::span!("timing_sim", "interval_cycles={interval_cycles}");
-        let output = Arc::new(simulate(
+        let span = ramp_obs::span!("timing_sim", "intervals={:?}", pass.intervals);
+        let outputs = simulate_intervals(
             machine,
             TraceGenerator::new(profile),
             length,
-            interval_cycles,
-        ));
+            &pass.intervals,
+        )
+        .into_iter()
+        .map(Arc::new)
+        .collect();
         drop(span);
         in_flight.add(-1.0);
-        output
-    }));
+        outputs
+    });
+    // The pass covers `interval_cycles` by construction, so this is its
+    // position in the sorted interval list.
+    let idx = pass.intervals.partition_point(|&c| c < interval_cycles);
+    // ramp-lint:allow(panic-reach) -- one output per pass interval, and the pass covers `interval_cycles`
+    let output = Arc::clone(&outputs[idx]);
     (output, outcome, key.normalized())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate;
     use ramp_trace::spec;
 
     /// Serializes access across the tests in this module: they observe
@@ -304,7 +282,18 @@ mod tests {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn fresh(profile: &BenchmarkProfile, length: SimulationLength, ic: u64) -> SimulationOutput {
+        simulate(
+            &MachineConfig::power4_180nm(),
+            TraceGenerator::new(profile),
+            length,
+            ic,
+        )
     }
 
     #[test]
@@ -313,50 +302,56 @@ mod tests {
         clear_timing_cache();
         let machine = MachineConfig::power4_180nm();
         let profile = spec::profile("gzip").unwrap();
-        let fresh = simulate(
-            &machine,
-            TraceGenerator::new(&profile),
-            SimulationLength::Instructions(20_000),
-            1_100,
-        );
-        let a = simulate_profile_cached(
-            &machine,
-            &profile,
-            SimulationLength::Instructions(20_000),
-            1_100,
-        );
-        let b = simulate_profile_cached(
-            &machine,
-            &profile,
-            SimulationLength::Instructions(20_000),
-            1_100,
-        );
+        let length = SimulationLength::Instructions(20_000);
+        let a = simulate_profile_cached(&machine, &profile, length, 1_100);
+        let b = simulate_profile_cached(&machine, &profile, length, 1_100);
         assert!(Arc::ptr_eq(&a, &b), "second lookup shares the stored Arc");
-        assert_eq!(format!("{:?}", *a), format!("{fresh:?}"));
+        assert_eq!(*a, fresh(&profile, length, 1_100));
         let stats = timing_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
-    fn distinct_interval_lengths_are_distinct_keys() {
+    fn other_interval_of_a_filled_pass_is_a_bit_identical_hit() {
         let _guard = locked();
         clear_timing_cache();
         let machine = MachineConfig::power4_180nm();
         let profile = spec::profile("ammp").unwrap();
-        let a = simulate_profile_cached(
-            &machine,
-            &profile,
-            SimulationLength::Instructions(10_000),
-            1_100,
-        );
-        let b = simulate_profile_cached(
-            &machine,
-            &profile,
-            SimulationLength::Instructions(10_000),
-            1_650,
-        );
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(timing_cache_stats().misses, 2);
+        let length = SimulationLength::Instructions(10_000);
+        let pass = [1_100, 1_350, 1_650, 2_000];
+        let (a, first, _) =
+            simulate_profile_cached_traced(&machine, &profile, length, 1_100, &pass);
+        let (b, second, _) =
+            simulate_profile_cached_traced(&machine, &profile, length, 1_650, &pass);
+        assert_eq!((first, second), (CacheOutcome::Miss, CacheOutcome::Hit));
+        // The compatible entry point also hits on any filled interval.
+        let c = simulate_profile_cached(&machine, &profile, length, 2_000);
+        assert_eq!(*a, fresh(&profile, length, 1_100));
+        assert_eq!(*b, fresh(&profile, length, 1_650));
+        assert_eq!(*c, fresh(&profile, length, 2_000));
+        assert_eq!(a.stats, b.stats, "one pass, one set of statistics");
+        let stats = timing_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+    }
+
+    #[test]
+    fn absent_interval_resimulates_with_the_union() {
+        let _guard = locked();
+        clear_timing_cache();
+        let machine = MachineConfig::power4_180nm();
+        let profile = spec::profile("vpr").unwrap();
+        let length = SimulationLength::Instructions(8_000);
+        let a = simulate_profile_cached(&machine, &profile, length, 1_100);
+        // 1 650 is not in the resident pass: one more simulation, which
+        // also re-fills 1 100, so neither length misses again.
+        let b = simulate_profile_cached(&machine, &profile, length, 1_650);
+        let a2 = simulate_profile_cached(&machine, &profile, length, 1_100);
+        let b2 = simulate_profile_cached(&machine, &profile, length, 1_650);
+        assert!(Arc::ptr_eq(&b, &b2));
+        assert_eq!(*a2, *a);
+        assert_eq!(*b, fresh(&profile, length, 1_650));
+        let stats = timing_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
     }
 
     #[test]
@@ -365,23 +360,27 @@ mod tests {
         clear_timing_cache();
         let machine = MachineConfig::power4_180nm();
         let profile = spec::profile("gcc").unwrap();
+        let pass = [1_100, 1_350, 1_650, 2_000];
         let outputs: Vec<Arc<SimulationOutput>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        simulate_profile_cached(
-                            &machine,
-                            &profile,
+                .map(|i| {
+                    let (machine, profile) = (&machine, &profile);
+                    scope.spawn(move || {
+                        simulate_profile_cached_traced(
+                            machine,
+                            profile,
                             SimulationLength::Instructions(15_000),
-                            2_000,
+                            pass[i % pass.len()],
+                            &pass,
                         )
+                        .0
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for out in &outputs[1..] {
-            assert!(Arc::ptr_eq(&outputs[0], out));
+        for (i, out) in outputs.iter().enumerate().skip(pass.len()) {
+            assert!(Arc::ptr_eq(&outputs[i - pass.len()], out));
         }
         let stats = timing_cache_stats();
         assert_eq!(stats.misses, 1, "one thread simulated");
@@ -389,48 +388,28 @@ mod tests {
     }
 
     #[test]
-    fn traced_lookup_reports_outcome_key_and_classes() {
+    fn traced_lookup_reports_outcome_and_interval_free_key() {
         let _guard = locked();
         clear_timing_cache();
         let machine = MachineConfig::power4_180nm();
         let profile = spec::profile("gzip").unwrap();
-        let (_, first, key_a) = simulate_profile_cached_traced(
-            &machine,
-            &profile,
-            SimulationLength::Instructions(5_000),
-            1_100,
-        );
-        let (_, second, key_b) = simulate_profile_cached_traced(
-            &machine,
-            &profile,
-            SimulationLength::Instructions(5_000),
-            1_100,
-        );
+        let length = SimulationLength::Instructions(5_000);
+        let pass = [1_100, 1_650];
+        let (_, first, key_a) =
+            simulate_profile_cached_traced(&machine, &profile, length, 1_100, &pass);
+        let (_, second, key_b) =
+            simulate_profile_cached_traced(&machine, &profile, length, 1_100, &pass);
         assert_eq!(first, CacheOutcome::Miss);
         assert_eq!(second, CacheOutcome::Hit);
         assert_eq!(first.as_str(), "miss");
         assert_eq!(key_a, key_b, "same lookup normalizes to the same key");
-        assert!(key_a.contains("/len=i5000/ic=1100"), "{key_a}");
-        // A different interval is a different class.
-        let (_, _, key_c) = simulate_profile_cached_traced(
-            &machine,
-            &profile,
-            SimulationLength::Instructions(5_000),
-            1_650,
-        );
-        assert_ne!(key_a, key_c);
-        let classes = timing_cache_class_stats();
-        assert_eq!(classes.len(), 2);
-        let c1100 = classes
-            .iter()
-            .find(|c| c.class == "len=i5000/ic=1100")
-            .expect("class present");
-        assert_eq!((c1100.hits, c1100.misses), (1, 1));
-        let c1650 = classes
-            .iter()
-            .find(|c| c.class == "len=i5000/ic=1650")
-            .expect("class present");
-        assert_eq!((c1650.hits, c1650.misses), (0, 1));
+        assert!(key_a.ends_with("/len=i5000"), "{key_a}");
+        // A different interval of the same pass is the same key, and a hit.
+        let (_, third, key_c) =
+            simulate_profile_cached_traced(&machine, &profile, length, 1_650, &pass);
+        assert_eq!(third, CacheOutcome::Hit);
+        assert_eq!(key_a, key_c);
+        assert!(!key_a.contains("ic="), "{key_a}");
     }
 
     #[test]
@@ -439,26 +418,29 @@ mod tests {
         clear_timing_cache();
         let machine = MachineConfig::power4_180nm();
         let profile = spec::profile("mesa").unwrap();
-        // Fill past capacity using distinct interval lengths as keys.
-        for i in 0..(TIMING_CACHE_CAPACITY as u64 + 8) {
-            simulate_profile_cached(
-                &machine,
-                &profile,
-                SimulationLength::Instructions(2_000),
-                1_000 + i,
-            );
+        // Fill past capacity using distinct simulation lengths as keys;
+        // every lookup names two intervals, which share one entry.
+        let n = TIMING_CACHE_CAPACITY as u64 + 8;
+        for i in 0..n {
+            let length = SimulationLength::Instructions(2_000 + i);
+            simulate_profile_cached_traced(&machine, &profile, length, 1_100, &[1_100, 2_000]);
         }
         let stats = timing_cache_stats();
+        assert_eq!(stats.misses, n);
         assert!(stats.entries <= TIMING_CACHE_CAPACITY);
-        // The most recent key must still be resident: re-requesting it is
-        // a hit, not a re-simulation.
-        let misses_before = stats.misses;
+        // The most recent key must still be resident at both intervals:
+        // re-requesting it is a hit, not a re-simulation.
+        let last = SimulationLength::Instructions(2_000 + n - 1);
+        simulate_profile_cached(&machine, &profile, last, 1_100);
+        simulate_profile_cached(&machine, &profile, last, 2_000);
+        assert_eq!(timing_cache_stats().misses, n);
+        // The oldest was evicted.
         simulate_profile_cached(
             &machine,
             &profile,
             SimulationLength::Instructions(2_000),
-            1_000 + TIMING_CACHE_CAPACITY as u64 + 7,
+            1_100,
         );
-        assert_eq!(timing_cache_stats().misses, misses_before);
+        assert_eq!(timing_cache_stats().misses, n + 1);
     }
 }

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use ramp_microarch::{
-    simulate, simulate_profile_cached, Engine, MachineConfig, SimulationLength, Structure,
+    simulate, simulate_intervals, simulate_profile_cached, Engine, MachineConfig, SimulationLength,
+    Structure,
 };
 use ramp_trace::{BranchInfo, MemRef, TraceRecord, ALL_OP_CLASSES};
 
@@ -183,6 +184,122 @@ proptest! {
         let again = simulate_profile_cached(&cfg, profile, length, interval_cycles);
         prop_assert!(std::sync::Arc::ptr_eq(&cached, &again));
     }
+}
+
+/// Strategy: a set of 1–5 interval lengths, mixing short lengths (often
+/// coprime, so the common bucket shrinks to a few cycles), the paper's
+/// node lengths, and lengths longer than any run here.
+fn arb_intervals() -> impl Strategy<Value = Vec<u64>> {
+    let interval = (
+        0u8..4,
+        1u64..64,
+        64u64..3_000,
+        0usize..4,
+        40_000u64..200_000,
+    )
+        .prop_map(|(kind, tiny, short, node, long)| match kind {
+            0 => tiny,
+            1 => short,
+            2 => [1_100, 1_350, 1_650, 2_000][node],
+            _ => long,
+        });
+    proptest::collection::vec(interval, 1..6)
+}
+
+/// Strategy: an instruction- or cycle-bounded run, short enough that
+/// long intervals overhang it.
+fn arb_length() -> impl Strategy<Value = SimulationLength> {
+    (any::<bool>(), 1u64..25_000, 1u64..20_000).prop_map(|(by_cycles, instructions, cycles)| {
+        if by_cycles {
+            SimulationLength::Cycles(cycles)
+        } else {
+            SimulationLength::Instructions(instructions)
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One engine pass for a set of interval lengths gives, per length,
+    /// exactly the trace and statistics of a simulation at that length
+    /// alone — for any profile (reseeded), run bound, and interval set.
+    #[test]
+    fn single_pass_equals_per_interval_simulations(
+        bench_idx in 0usize..16,
+        seed in any::<u64>(),
+        length in arb_length(),
+        intervals in arb_intervals(),
+    ) {
+        let mut profile = ramp_trace::spec::all_profiles().swap_remove(bench_idx);
+        profile.seed = seed;
+        let cfg = MachineConfig::power4_180nm();
+        let outputs = simulate_intervals(
+            &cfg,
+            ramp_trace::TraceGenerator::new(&profile),
+            length,
+            &intervals,
+        );
+        prop_assert_eq!(outputs.len(), intervals.len());
+        for (&ic, out) in intervals.iter().zip(&outputs) {
+            let alone = simulate(&cfg, ramp_trace::TraceGenerator::new(&profile), length, ic);
+            prop_assert_eq!(&out.stats, &alone.stats, "{} at {}", profile.name, ic);
+            prop_assert_eq!(&out.activity, &alone.activity, "{} at {}", profile.name, ic);
+        }
+    }
+
+    /// The same contract on arbitrary well-formed instruction streams,
+    /// driving the engine step by step.
+    #[test]
+    fn single_pass_equals_per_interval_engines_on_arbitrary_traces(
+        raw in proptest::collection::vec(arb_record(), 1..3_000),
+        intervals in arb_intervals(),
+    ) {
+        let records = close_dataflow(raw);
+        let cfg = MachineConfig::power4_180nm();
+        let mut multi = Engine::with_intervals(&cfg, &intervals);
+        for rec in &records {
+            multi.step(rec);
+        }
+        let outputs = multi.finish_intervals();
+        for (&ic, out) in intervals.iter().zip(&outputs) {
+            let mut alone = Engine::new(&cfg, ic);
+            for rec in &records {
+                alone.step(rec);
+            }
+            prop_assert_eq!(out, &alone.finish(), "interval {}", ic);
+        }
+    }
+}
+
+/// The collector's working memory (its ring of unfolded fine buckets) is
+/// bounded by how far events run ahead of fetch — the in-flight window —
+/// not by the run length: a memory-bound 2M-instruction run never holds
+/// more than a few dozen 50-cycle buckets of its ~35 000.
+#[test]
+fn collector_ring_stays_bounded_over_a_long_run() {
+    let cfg = MachineConfig::power4_180nm();
+    let profile = ramp_trace::spec::profile("ammp").unwrap();
+    let mut engine = Engine::with_intervals(&cfg, &[1_100, 1_350, 1_650, 2_000]);
+    let mut early = 0;
+    for (i, rec) in ramp_trace::TraceGenerator::new(&profile)
+        .take(2_000_000)
+        .enumerate()
+    {
+        engine.step(&rec);
+        if i == 100_000 {
+            early = engine.collector_high_water();
+        }
+    }
+    let fine_buckets = engine.cycle() / 50;
+    let high_water = engine.collector_high_water();
+    assert!(fine_buckets > 20_000, "run spans {fine_buckets} buckets");
+    assert!(high_water <= 64, "ring held {high_water} buckets");
+    // Twenty times the run adds nothing: the bound is set early.
+    assert!(
+        high_water <= early + 2,
+        "{early} after 100k, {high_water} after 2M"
+    );
 }
 
 #[test]

@@ -58,8 +58,10 @@ impl SpanId {
     }
 }
 
-/// FNV-1a 64-bit over a string — the id derivation everything here uses.
-/// Matches `ramp_core::fnv1a_hex` bit-for-bit (same offset basis/prime).
+/// FNV-1a 64-bit over a string — the workspace's one FNV-1a: trace and
+/// span ids here, benchmark trace seeds, timing-cache fingerprints, and
+/// (hex-formatted by `ramp_core::fnv1a_hex`) every config and results
+/// digest.
 #[must_use]
 pub fn fnv1a_64(s: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

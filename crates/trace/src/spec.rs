@@ -363,12 +363,7 @@ impl Row {
 /// Stable 64-bit seed derived from the benchmark name (FNV-1a), so each
 /// benchmark's trace is fixed forever and independent of table order.
 fn seed_for(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    ramp_obs::fnv1a_64(name)
 }
 
 /// Per-benchmark power residual (see module docs); 1.0 means the structural
@@ -437,6 +432,41 @@ impl std::error::Error for UnknownBenchmark {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_seeds_are_pinned() {
+        // Every trace, and so every published number, derives from these
+        // seeds: a change to the shared FNV-1a must fail here first.
+        assert_eq!(ramp_obs::fnv1a_64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(
+            ramp_obs::fnv1a_64("The Impact of Technology Scaling on Lifetime Reliability"),
+            0x0e9c_eba7_4d0d_c422
+        );
+        let pinned: [(&str, u64); 16] = [
+            ("ammp", 0x8c7e_9483_af1a_845e),
+            ("applu", 0xf74a_72a4_58bf_18ef),
+            ("sixtrack", 0x1b17_9b1b_9294_ed2a),
+            ("mgrid", 0xdc18_1dda_0aa1_40d8),
+            ("mesa", 0x4324_11a2_e331_2607),
+            ("facerec", 0x0c7c_7e7f_5588_065a),
+            ("wupwise", 0x5707_e22a_26a5_c25b),
+            ("apsi", 0x76e6_d484_3406_72a4),
+            ("vpr", 0x693e_1a19_4f02_d8eb),
+            ("bzip2", 0x4507_745f_4e8e_ce72),
+            ("twolf", 0x7a39_57bf_a0fd_671b),
+            ("gzip", 0x3ffc_eb72_6a92_1155),
+            ("perlbmk", 0x9c04_4d03_4581_4196),
+            ("gap", 0xd4f0_5718_fab6_a2ef),
+            ("gcc", 0xd4e9_7818_fab0_bc54),
+            ("crafty", 0x3cf5_02c7_20cf_d8e8),
+        ];
+        assert_eq!(ROWS.len(), pinned.len());
+        for (row, (name, seed)) in ROWS.iter().zip(pinned) {
+            assert_eq!(row.name, name);
+            assert_eq!(seed_for(name), seed, "{name}");
+            assert_eq!(profile(name).unwrap().seed, seed, "{name}");
+        }
+    }
 
     #[test]
     fn sixteen_profiles_all_valid() {

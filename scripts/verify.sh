@@ -84,6 +84,14 @@ echo "== benchmark gate: smoke run against the checked-in baseline =="
 cargo run --release --locked -p ramp-bench --bin benchgate -- \
     --smoke --emit target/bench-candidate.json
 
+echo "== benchmark self-test: perfbench harness at 1 and 2 threads =="
+# Builds the repository benchmark's harness (perfbench/harness, its own
+# Cargo package on the crates' public APIs) into target/, so an API change
+# that breaks it fails here, then runs each workload shrunk at 1 and 2
+# threads: the digests must agree, and the shrunk study must give the
+# pinned results digest 874190a1ad3ea009. About 3 s after the build.
+CARGO_TARGET_DIR=target python3 perfbench/run.py --self-test
+
 echo "== fleet smoke: population determinism + quantile artifact =="
 # A 50k-chip population Monte Carlo per node, then byte-determinism
 # re-proved in-process across thread counts and chunkings
