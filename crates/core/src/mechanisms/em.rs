@@ -14,9 +14,9 @@
 //! thickness δ does not). The failure-rate multiplier is therefore
 //! `1/κ²`.
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKind, SplitRate};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::BOLTZMANN_EV_PER_K;
+use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
 /// Electromigration failure model.
@@ -79,11 +79,36 @@ impl FailureModel for Electromigration {
     }
 
     fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        let j = node.j_max.at_activity(op.activity).value();
+        self.rate_at(&self.prepare(op.voltage, op.activity, node), op.temperature)
+    }
+}
+
+/// The temperature-independent terms of Black's equation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EmTerms {
+    /// `J^n` with `J = p · J_max(node)`.
+    current: f64,
+    /// The geometry penalty `κ^{−g}`.
+    geometry: f64,
+}
+
+impl SplitRate for Electromigration {
+    type Prepared = EmTerms;
+
+    #[inline]
+    fn prepare(&self, _voltage: Volts, activity: ActivityFactor, node: &TechNode) -> EmTerms {
+        let j = node.j_max.at_activity(activity).value();
+        EmTerms {
+            current: j.powf(self.current_exponent),
+            geometry: node.scale_factor.powf(-self.geometry_exponent),
+        }
+    }
+
+    #[inline]
+    fn rate_at(&self, prepared: &EmTerms, temperature: Kelvin) -> f64 {
         let arrhenius =
-            (-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * op.temperature.value())).exp();
-        let geometry = node.scale_factor.powf(-self.geometry_exponent);
-        j.powf(self.current_exponent) * arrhenius * geometry
+            (-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature.value())).exp();
+        prepared.current * arrhenius * prepared.geometry
     }
 }
 

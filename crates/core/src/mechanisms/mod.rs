@@ -17,18 +17,23 @@
 //! | SM   | `\|T−T₀\|^m e^{−Ea/kT}` (rate) | — | — |
 //! | TDDB | super-exponential | `V^{a−bT}` (rate) | `10^{Δt_ox/s}`, gate area |
 //! | TC   | `(T−T_ambient)^q` (rate) | — | — |
+//!
+//! Every model's rate also splits ([`SplitRate`]) into a part prepared once
+//! per (node, voltage, activity) and a temperature part; `relative_rate`
+//! is the composition of the two, so each formula is written once.
 
 mod em;
 mod sm;
 mod tc;
 mod tddb;
 
-pub use em::Electromigration;
+pub use em::{Electromigration, EmTerms};
 pub use sm::StressMigration;
 pub use tc::ThermalCycling;
-pub use tddb::DielectricBreakdown;
+pub use tddb::{DielectricBreakdown, TddbTerms};
 
 use crate::{OperatingPoint, TechNode};
+use ramp_units::{ActivityFactor, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
 /// Identifies one of the four modelled failure mechanisms.
@@ -100,15 +105,52 @@ pub trait FailureModel: std::fmt::Debug + Send + Sync {
     fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64;
 }
 
+/// A failure model whose rate separates into a temperature-independent
+/// part and a temperature part.
+///
+/// [`SplitRate::prepare`] evaluates every term that depends only on the
+/// node, the supply voltage and the activity; [`SplitRate::rate_at`]
+/// finishes the rate at one temperature. Each model's
+/// [`FailureModel::relative_rate`] is exactly
+/// `rate_at(&prepare(V, p, node), T)`, with the same evaluation order, so
+/// a caller that prices many temperatures at one (node, voltage,
+/// activity) pays the temperature-independent terms once and gets the
+/// same `f64`s bit for bit.
+pub trait SplitRate: FailureModel {
+    /// The temperature-independent terms of the rate.
+    type Prepared;
+
+    /// The terms fixed by the node, supply voltage and activity.
+    fn prepare(&self, voltage: Volts, activity: ActivityFactor, node: &TechNode) -> Self::Prepared;
+
+    /// The relative rate at `temperature`, given the prepared terms.
+    fn rate_at(&self, prepared: &Self::Prepared, temperature: Kelvin) -> f64;
+}
+
+/// The standard model set as concrete types, for callers that evaluate
+/// [`SplitRate`] without dynamic dispatch.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StandardModels {
+    /// Electromigration.
+    pub em: Electromigration,
+    /// Stress migration.
+    pub sm: StressMigration,
+    /// Gate-oxide breakdown.
+    pub tddb: DielectricBreakdown,
+    /// Thermal cycling.
+    pub tc: ThermalCycling,
+}
+
 /// The standard model set: all four mechanisms with their default
-/// (paper/calibrated) parameters.
+/// (paper/calibrated) parameters, in [`MechanismKind::ALL`] order.
 #[must_use]
 pub fn standard_models() -> Vec<Box<dyn FailureModel>> {
+    let models = StandardModels::default();
     vec![
-        Box::new(Electromigration::default()),
-        Box::new(StressMigration::default()),
-        Box::new(DielectricBreakdown::default()),
-        Box::new(ThermalCycling::default()),
+        Box::new(models.em),
+        Box::new(models.sm),
+        Box::new(models.tddb),
+        Box::new(models.tc),
     ]
 }
 
@@ -187,6 +229,7 @@ mod tests {
     fn standard_models_cover_all_kinds() {
         let models = standard_models();
         let mut kinds: Vec<_> = models.iter().map(|m| m.kind()).collect();
+        assert_eq!(kinds, MechanismKind::ALL, "boxed in canonical order");
         kinds.sort();
         kinds.dedup();
         assert_eq!(kinds.len(), 4);
@@ -225,6 +268,28 @@ mod tests {
                 "{}: 65 nm rate {r65} not above 180 nm rate {r180}",
                 model.kind()
             );
+        }
+    }
+
+    #[test]
+    fn split_rate_composes_to_the_relative_rate() {
+        fn check<M: SplitRate>(model: &M, op: &OperatingPoint, node: &TechNode) {
+            let prepared = model.prepare(op.voltage, op.activity, node);
+            let split = model.rate_at(&prepared, op.temperature);
+            let whole = model.relative_rate(op, node);
+            assert_eq!(split.to_bits(), whole.to_bits(), "{}", model.kind());
+        }
+        let models = StandardModels::default();
+        for id in NodeId::ALL {
+            let node = TechNode::get(id);
+            for t in [300.0, 341.5, 356.0, 383.25] {
+                let mut op = typical_op(t);
+                op.voltage = node.vdd;
+                check(&models.em, &op, &node);
+                check(&models.sm, &op, &node);
+                check(&models.tddb, &op, &node);
+                check(&models.tc, &op, &node);
+            }
         }
     }
 

@@ -8,9 +8,9 @@
 //! temperatures, so hotter structures fail sooner — just less steeply than
 //! under electromigration. Scaling touches SM only through temperature.
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKind, SplitRate};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::{Kelvin, BOLTZMANN_EV_PER_K};
+use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
 /// Stress-migration failure model.
@@ -53,8 +53,21 @@ impl FailureModel for StressMigration {
         MechanismKind::Sm
     }
 
-    fn relative_rate(&self, op: &OperatingPoint, _node: &TechNode) -> f64 {
-        let t = op.temperature.value();
+    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
+        self.rate_at(&self.prepare(op.voltage, op.activity, node), op.temperature)
+    }
+}
+
+impl SplitRate for StressMigration {
+    /// SM depends on temperature alone.
+    type Prepared = ();
+
+    #[inline]
+    fn prepare(&self, _voltage: Volts, _activity: ActivityFactor, _node: &TechNode) {}
+
+    #[inline]
+    fn rate_at(&self, _prepared: &(), temperature: Kelvin) -> f64 {
+        let t = temperature.value();
         let stress = (self.stress_free_temp.value() - t).abs();
         let arrhenius = (-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * t)).exp();
         stress.powf(self.stress_exponent) * arrhenius

@@ -9,9 +9,9 @@
 //! with a power-law rather than exponential dependence its growth is the
 //! gentlest of the four mechanisms.
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKind, SplitRate};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::Kelvin;
+use ramp_units::{ActivityFactor, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
 /// Thermal-cycling failure model.
@@ -51,10 +51,23 @@ impl FailureModel for ThermalCycling {
         MechanismKind::Tc
     }
 
-    fn relative_rate(&self, op: &OperatingPoint, _node: &TechNode) -> f64 {
+    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
+        self.rate_at(&self.prepare(op.voltage, op.activity, node), op.temperature)
+    }
+}
+
+impl SplitRate for ThermalCycling {
+    /// TC depends on temperature alone.
+    type Prepared = ();
+
+    #[inline]
+    fn prepare(&self, _voltage: Volts, _activity: ActivityFactor, _node: &TechNode) {}
+
+    #[inline]
+    fn rate_at(&self, _prepared: &(), temperature: Kelvin) -> f64 {
         // The engine feeds the running-average temperature through the
         // operating point; a structure cooler than ambient never cycles.
-        let swing = (op.temperature - self.ambient).max(0.0);
+        let swing = (temperature - self.ambient).max(0.0);
         swing.powf(self.coffin_manson_exponent)
     }
 }

@@ -20,9 +20,9 @@
 //!   direction (smaller scaled area ⇒ longer life); the paper's Eq. 5
 //!   prints the ratio inverted (DESIGN.md §5).
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKind, SplitRate};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::{Kelvin, BOLTZMANN_EV_PER_K};
+use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
 /// Gate-oxide breakdown failure model.
@@ -119,13 +119,39 @@ impl FailureModel for DielectricBreakdown {
     }
 
     fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        let t = op.temperature;
+        self.rate_at(&self.prepare(op.voltage, op.activity, node), op.temperature)
+    }
+}
+
+/// The temperature-independent logarithms of the TDDB rate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TddbTerms {
+    /// `ln V` (the voltage exponent `a − bT` still depends on T).
+    ln_vdd: f64,
+    /// `ln 10^{Δt_ox/s}`.
+    ln_tox: f64,
+    /// `ln A_rel`.
+    ln_area: f64,
+}
+
+impl SplitRate for DielectricBreakdown {
+    type Prepared = TddbTerms;
+
+    #[inline]
+    fn prepare(&self, voltage: Volts, _activity: ActivityFactor, node: &TechNode) -> TddbTerms {
+        TddbTerms {
+            ln_vdd: voltage.value().ln(),
+            ln_tox: node.tox_reduction_nm() / self.nm_per_decade * std::f64::consts::LN_10,
+            ln_area: node.area_rel.ln(),
+        }
+    }
+
+    #[inline]
+    fn rate_at(&self, prepared: &TddbTerms, temperature: Kelvin) -> f64 {
         // Rate = 1/MTTF: V^{a−bT} · e^{−(X+Y/T+ZT)/kT} · 10^{Δtox/s} · A_rel.
-        let ln_voltage = self.voltage_exponent(t) * op.voltage.value().ln();
-        let ln_arrhenius = -self.arrhenius_exponent(t);
-        let ln_tox = node.tox_reduction_nm() / self.nm_per_decade * std::f64::consts::LN_10;
-        let ln_area = node.area_rel.ln();
-        (ln_voltage + ln_arrhenius + ln_tox + ln_area).exp()
+        let ln_voltage = self.voltage_exponent(temperature) * prepared.ln_vdd;
+        let ln_arrhenius = -self.arrhenius_exponent(temperature);
+        (ln_voltage + ln_arrhenius + prepared.ln_tox + prepared.ln_area).exp()
     }
 }
 

@@ -124,8 +124,18 @@ impl Lognormal {
     #[must_use]
     // ramp-lint:allow(unit-safety) -- mean carries the caller's unit; sampler is unit-agnostic
     pub fn from_mean(mean: f64, sigma: Sigma) -> Self {
+        Lognormal::from_median(mean * Lognormal::median_per_mean(sigma), sigma)
+    }
+
+    /// The median per unit mean of a lognormal with log-sigma `sigma`,
+    /// `e^{−σ²/2}`. Depends on `sigma` alone, so a caller anchoring many
+    /// lognormals of one sigma can compute it once:
+    /// `from_median(mean · median_per_mean(σ), σ)` is [`Lognormal::from_mean`].
+    #[must_use]
+    // ramp-lint:allow(unit-safety) -- dimensionless ratio of median to mean
+    pub fn median_per_mean(sigma: Sigma) -> f64 {
         let s = sigma.value();
-        Lognormal::from_median(mean * (-0.5 * s * s).exp(), sigma)
+        (-0.5 * s * s).exp()
     }
 
     /// The distribution's median.
@@ -263,10 +273,17 @@ pub fn gamma_fn(x: f64) -> f64 {
 /// failure scatter follows a Weibull with wearout slope β > 1. Draws are
 /// by inversion, `t = scale · (−ln(1−u))^{1/β}` with `u ∈ (0, 1)` open,
 /// so every draw is finite and strictly positive.
+///
+/// The shape's derived constants, `1/β` and `Γ(1 + 1/β)`, are computed
+/// once at construction; [`CoffinManson::with_mean_years`] re-anchors a
+/// sampler to a new mean without recomputing them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoffinManson {
     scale_years: f64,
-    shape: WeibullShape,
+    /// `1/β`, the exponent of the inversion draw.
+    inv_shape: f64,
+    /// `Γ(1 + 1/β)`: the Weibull mean per unit of its scale.
+    mean_per_scale: f64,
 }
 
 impl CoffinManson {
@@ -279,13 +296,31 @@ impl CoffinManson {
     #[must_use]
     // ramp-lint:allow(unit-safety) -- year-denominated mean documented in the name
     pub fn from_mean_years(mean_years: f64, shape: WeibullShape) -> Self {
+        let inv_shape = 1.0 / shape.value();
+        CoffinManson {
+            scale_years: 1.0,
+            inv_shape,
+            mean_per_scale: gamma_fn(1.0 + inv_shape),
+        }
+        .with_mean_years(mean_years)
+    }
+
+    /// The sampler with the same shape and mean `mean_years`; equal to
+    /// `from_mean_years(mean_years, β)` without re-evaluating `Γ`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean_years` is not finite and positive.
+    #[must_use]
+    // ramp-lint:allow(unit-safety) -- year-denominated mean documented in the name
+    pub fn with_mean_years(self, mean_years: f64) -> Self {
         assert!(
             mean_years.is_finite() && mean_years > 0.0,
             "Coffin–Manson mean life must be positive, got {mean_years}"
         );
         CoffinManson {
-            scale_years: mean_years / gamma_fn(1.0 + 1.0 / shape.value()),
-            shape,
+            scale_years: mean_years / self.mean_per_scale,
+            ..self
         }
     }
 
@@ -323,7 +358,7 @@ impl CoffinManson {
     // ramp-lint:allow(unit-safety) -- year-denominated, documented in the name
     pub fn sample_years(&self, rng: &mut Rng) -> f64 {
         let u = open_unit(rng);
-        self.scale_years * (-(1.0 - u).ln()).powf(1.0 / self.shape.value())
+        self.scale_years * (-(1.0 - u).ln()).powf(self.inv_shape)
     }
 }
 

@@ -48,13 +48,14 @@ pub struct VariationModel {
 
 impl Default for VariationModel {
     fn default() -> Self {
-        VariationModel {
-            tox_fraction_sigma: Sigma::new(0.02).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            temperature_sigma_kelvin: Sigma::new(3.0).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            geometry_fraction_sigma: Sigma::new(0.03).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            lifetime_sigma: Sigma::new(0.5).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            tc_shape: WeibullShape::new(2.0).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-        }
+        const DEFAULT: VariationModel = VariationModel {
+            tox_fraction_sigma: Sigma::new_const(0.02),
+            temperature_sigma_kelvin: Sigma::new_const(3.0),
+            geometry_fraction_sigma: Sigma::new_const(0.03),
+            lifetime_sigma: Sigma::new_const(0.5),
+            tc_shape: WeibullShape::new_const(2.0),
+        };
+        DEFAULT
     }
 }
 
@@ -65,13 +66,14 @@ impl VariationModel {
     /// deterministic per-mechanism lifetimes.
     #[must_use]
     pub fn degenerate() -> Self {
-        VariationModel {
+        const DEGENERATE: VariationModel = VariationModel {
             tox_fraction_sigma: Sigma::ZERO,
             temperature_sigma_kelvin: Sigma::ZERO,
             geometry_fraction_sigma: Sigma::ZERO,
             lifetime_sigma: Sigma::ZERO,
-            tc_shape: WeibullShape::new(1e6).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-        }
+            tc_shape: WeibullShape::new_const(1e6),
+        };
+        DEGENERATE
     }
 }
 

@@ -31,6 +31,21 @@ quantity! {
 impl Sigma {
     /// No scatter: every draw collapses to the distribution's median.
     pub const ZERO: Sigma = Sigma(0.0);
+
+    /// `const` constructor for static sigmas.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time in `const` contexts) if the value is
+    /// negative or not finite.
+    #[must_use]
+    pub const fn new_const(value: f64) -> Sigma {
+        assert!(
+            value >= 0.0 && value <= f64::MAX,
+            "sigma must be non-negative and finite"
+        );
+        Sigma(value)
+    }
 }
 
 quantity! {
@@ -101,6 +116,23 @@ quantity! {
     valid = |v| v > 0.0
 }
 
+impl WeibullShape {
+    /// `const` constructor for static shapes.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time in `const` contexts) if the value is not
+    /// strictly positive or not finite.
+    #[must_use]
+    pub const fn new_const(value: f64) -> WeibullShape {
+        assert!(
+            value > 0.0 && value <= f64::MAX,
+            "Weibull shape must be positive and finite"
+        );
+        WeibullShape(value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +143,15 @@ mod tests {
         assert!(Sigma::new(f64::NAN).is_err());
         assert!(Sigma::new(f64::INFINITY).is_err());
         assert!((Sigma::new(0.3).unwrap().value() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn const_constructors_agree_with_checked_ones() {
+        const S: Sigma = Sigma::new_const(0.5);
+        const B: WeibullShape = WeibullShape::new_const(2.0);
+        assert_eq!(S, Sigma::new(0.5).unwrap());
+        assert_eq!(B, WeibullShape::new(2.0).unwrap());
+        assert_eq!(Sigma::new_const(0.0), Sigma::ZERO);
     }
 
     #[test]

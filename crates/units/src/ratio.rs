@@ -39,6 +39,21 @@ impl ActivityFactor {
         .map(Self)
     }
 
+    /// `const` constructor for static activity factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time in `const` contexts) unless `value` is in
+    /// `[0, 1]`.
+    #[must_use]
+    pub const fn new_const(value: f64) -> Self {
+        assert!(
+            value >= 0.0 && value <= 1.0,
+            "activity factor must be in [0, 1]"
+        );
+        ActivityFactor(value)
+    }
+
     /// Creates an activity factor from an event count over a capacity,
     /// clamping to `[0, 1]`.
     ///
@@ -93,6 +108,19 @@ mod tests {
         assert!(ActivityFactor::new(-0.1).is_err());
         assert!(ActivityFactor::new(1.1).is_err());
         assert!(ActivityFactor::new(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn const_constructor_agrees_with_checked_one() {
+        const HALF: ActivityFactor = ActivityFactor::new_const(0.5);
+        assert_eq!(HALF, ActivityFactor::new(0.5).unwrap());
+        assert_eq!(ActivityFactor::new_const(1.0), ActivityFactor::FULL);
+    }
+
+    #[test]
+    #[should_panic(expected = "activity factor")]
+    fn const_constructor_rejects_out_of_range_at_run_time() {
+        let _ = ActivityFactor::new_const(std::hint::black_box(1.5));
     }
 
     #[test]

@@ -40,6 +40,12 @@ echo "ramp-lint: clean (report at target/ramp-lint-report.json, SARIF at target/
 echo "== static analysis: clippy (workspace lint table, warnings are errors) =="
 cargo clippy --release --workspace --all-targets --locked -- -D warnings
 
+echo "== benches: criterion targets compile (not run) =="
+# Clippy above only type-checks crates/bench/benches; this builds and
+# links every bench target in the bench profile, as `cargo bench` would,
+# without measuring anything.
+cargo bench --no-run --locked -p ramp-bench
+
 echo "== determinism: study JSON byte-identical across thread counts =="
 # The test itself sweeps StudyConfig.threads in {1, 2, 8}; running the
 # binary under two RAMP_THREADS values additionally covers the env-var

@@ -9,7 +9,7 @@
 
 use ramp_core::mechanisms::PerMechanism;
 use ramp_core::{NodeId, PipelineConfig, Qualification, QueryEngine};
-use ramp_fleet::{run_fleet, FleetConfig};
+use ramp_fleet::{run_fleet, FleetConfig, VariationModel};
 
 fn test_engine() -> QueryEngine {
     QueryEngine::with_qualification(
@@ -107,4 +107,26 @@ fn seed_and_population_changes_move_the_digest() {
     )
     .unwrap();
     assert_ne!(reference.population_digest(), grown.population_digest());
+}
+
+#[test]
+fn population_digests_match_pinned_literals() {
+    // Cross-commit oracle: the within-commit tests above cannot notice a
+    // change that moves every run the same way. These literals were
+    // computed before the per-chip kernel hoisted its chip-invariant rate
+    // terms out of the per-structure loop; the kernel must reproduce every
+    // chip's failure time bit for bit, so they must never move unless the
+    // fleet's science deliberately changes.
+    let engine = test_engine();
+    let run = run_fleet(&engine, &base_config()).unwrap();
+    assert_eq!(run.population_digest(), "b815a210cee51d3c");
+    let degenerate = run_fleet(
+        &engine,
+        &FleetConfig {
+            variation: VariationModel::degenerate(),
+            ..base_config()
+        },
+    )
+    .unwrap();
+    assert_eq!(degenerate.population_digest(), "009fec67445a384e");
 }
