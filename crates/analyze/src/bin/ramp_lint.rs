@@ -1,110 +1,51 @@
 //! `ramp-lint`: the workspace invariant checker CLI.
 //!
 //! ```text
-//! ramp-lint [--root DIR] [--format human|json|sarif] [--baseline FILE]
-//!           [--no-baseline] [--write-baseline] [--prune-baseline]
-//!           [--fail-stale] [--no-cache]
+//! ramp-lint [--root DIR] [--format human|json|sarif]
 //! ```
 //!
-//! Exit codes: `0` clean (modulo baseline), `1` findings (or stale
-//! baseline entries under `--fail-stale`), `2` usage or I/O error. The
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error. The
 //! JSON format is a single object suitable for CI artifact upload;
 //! human format is grep-able one-line-per-finding; SARIF 2.1.0 is what
 //! GitHub code scanning ingests.
 
-use ramp_analyze::{analyze_workspace_with, AnalyzeOptions, Baseline};
+use ramp_analyze::analyze_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Options {
-    root: PathBuf,
-    format: Format,
-    baseline_path: Option<PathBuf>,
-    use_baseline: bool,
-    write_baseline: bool,
-    prune_baseline: bool,
-    fail_stale: bool,
-    use_cache: bool,
-}
-
-#[derive(PartialEq)]
 enum Format {
     Human,
     Json,
     Sarif,
 }
 
-const USAGE: &str = "usage: ramp-lint [--root DIR] [--format human|json|sarif] \
-[--baseline FILE] [--no-baseline] [--write-baseline] [--prune-baseline] \
-[--fail-stale] [--no-cache]";
+const USAGE: &str = "usage: ramp-lint [--root DIR] [--format human|json|sarif]";
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        root: PathBuf::from("."),
-        format: Format::Human,
-        baseline_path: None,
-        use_baseline: true,
-        write_baseline: false,
-        prune_baseline: false,
-        fail_stale: false,
-        use_cache: true,
-    };
+fn parse_args() -> Result<(PathBuf, Format), String> {
+    let mut root = PathBuf::from(".");
+    let mut format = Format::Human;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => {
-                let dir = args.next().ok_or("--root needs a directory")?;
-                opts.root = PathBuf::from(dir);
+            "--root" => root = PathBuf::from(args.next().ok_or("--root needs a directory")?),
+            "--format" => {
+                format = match args.next().as_deref() {
+                    Some("human") => Format::Human,
+                    Some("json") => Format::Json,
+                    Some("sarif") => Format::Sarif,
+                    _ => return Err("--format needs `human`, `json`, or `sarif`".to_string()),
+                }
             }
-            "--format" => match args.next().as_deref() {
-                Some("human") => opts.format = Format::Human,
-                Some("json") => opts.format = Format::Json,
-                Some("sarif") => opts.format = Format::Sarif,
-                _ => return Err("--format needs `human`, `json`, or `sarif`".to_string()),
-            },
-            "--baseline" => {
-                let file = args.next().ok_or("--baseline needs a file")?;
-                opts.baseline_path = Some(PathBuf::from(file));
-            }
-            "--no-baseline" => opts.use_baseline = false,
-            "--write-baseline" => opts.write_baseline = true,
-            "--prune-baseline" => opts.prune_baseline = true,
-            "--fail-stale" => opts.fail_stale = true,
-            "--no-cache" => opts.use_cache = false,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if opts.write_baseline && opts.prune_baseline {
-        return Err("--write-baseline and --prune-baseline are mutually exclusive".to_string());
-    }
-    Ok(opts)
-}
-
-fn baseline_path(opts: &Options) -> PathBuf {
-    opts.baseline_path
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint-baseline.toml"))
-}
-
-fn load_baseline(opts: &Options) -> Result<Baseline, String> {
-    if !opts.use_baseline {
-        return Ok(Baseline::default());
-    }
-    let path = baseline_path(opts);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => Baseline::parse(&text)
-            .map_err(|e| format!("{}: {e}", path.display())),
-        // A missing default baseline just means "no accepted findings";
-        // a missing *explicit* baseline is an error.
-        Err(_) if opts.baseline_path.is_none() => Ok(Baseline::default()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
+    Ok((root, format))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
+    let (root, format) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(msg) => {
             if !msg.is_empty() {
                 eprintln!("ramp-lint: {msg}");
@@ -113,79 +54,24 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline = match load_baseline(&opts) {
-        Ok(b) => b,
-        Err(msg) => {
-            eprintln!("ramp-lint: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let analyze_opts = if opts.use_cache {
-        AnalyzeOptions::for_root(&opts.root)
-    } else {
-        AnalyzeOptions::uncached()
-    };
-    let report = match analyze_workspace_with(&opts.root, &baseline, &analyze_opts) {
+    let report = match analyze_workspace(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!(
                 "ramp-lint: cannot analyze workspace at `{}`: {e}",
-                opts.root.display()
+                root.display()
             );
             return ExitCode::from(2);
         }
     };
-    if opts.write_baseline {
-        let path = baseline_path(&opts);
-        let text = Baseline::render(&report.findings);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("ramp-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "ramp-lint: wrote {} entries to {}",
-            report.findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if opts.prune_baseline {
-        let path = baseline_path(&opts);
-        let kept: Vec<_> = baseline
-            .entries
-            .iter()
-            .filter(|e| !report.stale_baseline.contains(e))
-            .cloned()
-            .collect();
-        let pruned = baseline.entries.len() - kept.len();
-        let text = Baseline::render_entries(&kept);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("ramp-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "ramp-lint: pruned {pruned} stale entr{} from {} ({} kept)",
-            if pruned == 1 { "y" } else { "ies" },
-            path.display(),
-            kept.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-    match opts.format {
+    match format {
         Format::Human => print!("{}", report.to_human()),
         Format::Json => println!("{}", report.to_json()),
         Format::Sarif => println!("{}", ramp_analyze::to_sarif(&report)),
     }
-    if !report.is_clean() {
-        return ExitCode::from(1);
+    if report.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
-    if opts.fail_stale && !report.stale_baseline.is_empty() {
-        eprintln!(
-            "ramp-lint: {} stale baseline entr{} — run `ramp-lint --prune-baseline`",
-            report.stale_baseline.len(),
-            if report.stale_baseline.len() == 1 { "y" } else { "ies" }
-        );
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
 }

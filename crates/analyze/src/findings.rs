@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// How bad a finding is. Severities are advisory labels for readers; any
-/// unbaselined, unsuppressed finding fails the lint run regardless of
+/// unsuppressed finding fails the lint run regardless of
 /// severity (the workspace invariant is "clean", not "clean enough").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
@@ -41,8 +41,7 @@ pub struct Finding {
     /// rule could not anchor the finding to a single token).
     pub col: u32,
     /// The enclosing function (or the matched construct when no function
-    /// encloses the site). Together with `rule` and `file` this forms the
-    /// line-independent baseline key.
+    /// encloses the site).
     pub symbol: String,
     /// Human-readable explanation with a suggested fix.
     pub message: String,

@@ -67,13 +67,6 @@ pub const RULES: [RuleMeta; 9] = [
     },
 ];
 
-/// Looks a rule up by name (used to rehydrate `&'static` rule names from
-/// the incremental cache).
-#[must_use]
-pub fn rule_named(name: &str) -> Option<&'static RuleMeta> {
-    RULES.iter().find(|r| r.name == name)
-}
-
 /// Crates whose public APIs must use `ramp-units` newtypes instead of
 /// raw `f64` (the model crates, where a bare double is a latent
 /// unit-confusion bug).

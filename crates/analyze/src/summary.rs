@@ -1,15 +1,10 @@
 //! Per-file analysis summaries: everything the cross-file pass needs
-//! from one file, extracted once and cacheable.
+//! from one file, extracted once per run.
 //!
-//! The incremental cache (see [`crate::cache`]) stores one
-//! [`FileSummary`] per source file, keyed by a content digest. The
-//! summary deliberately contains only *local* facts — findings of the
+//! A [`FileSummary`] holds only *local* facts — findings of the
 //! token-local rules, function symbols with their call/panic/alloc
-//! sites, and atomic declarations/operations — so the cheap cross-file
-//! pass ([`crate::xrules`]) can be recomputed on every run from the
-//! summaries alone. That split is what makes caching sound: inline
-//! allows and hot markers live in the file (digest-covered), while the
-//! hot-path manifest and the baseline are applied after the cache.
+//! sites and hot markers, and atomic declarations/operations — so the
+//! cross-file pass ([`crate::xrules`]) works from the summaries alone.
 
 use crate::context::{FileContext, FileKind};
 use crate::findings::Finding;
@@ -72,7 +67,7 @@ pub struct FnSummary {
     pub line: u32,
     /// 1-based column of the name token.
     pub col: u32,
-    /// Marked `// ramp-lint: hot` in source.
+    /// Bound by a hot marker ([`HOT_MARKER`]).
     pub hot: bool,
     /// Outgoing call sites, in source order.
     pub calls: Vec<CallSite>,
@@ -130,6 +125,9 @@ pub struct FileSummary {
     pub atomic_decls: Vec<AtomicDecl>,
     /// Atomic operations with explicit orderings (lib files only).
     pub atomic_ops: Vec<AtomicOp>,
+    /// 1-based lines of hot markers that bind no function (lib files
+    /// only).
+    pub dangling_hot_markers: Vec<u32>,
 }
 
 /// Control-flow keywords that look like calls (`if (…)`) but are not.
@@ -187,10 +185,11 @@ pub fn summarize(ctx: &FileContext) -> FileSummary {
         findings.extend(float_findings);
         suppressed += float_suppressed;
         let live_fns: Vec<&FnItem> = parsed.fns.iter().filter(|f| !f.in_test).collect();
-        let hot = hot_fn_indices(ctx, &live_fns);
+        let (hot, dangling) = bind_hot_markers(ctx, &live_fns);
         for (i, f) in live_fns.iter().enumerate() {
             summary.fns.push(summarize_fn(ctx, f, hot.contains(&i)));
         }
+        summary.dangling_hot_markers = dangling;
         extract_atomics(ctx, &parsed, &mut summary);
     }
     summary.findings = findings;
@@ -198,32 +197,37 @@ pub fn summarize(ctx: &FileContext) -> FileSummary {
     summary
 }
 
-/// Indices (into `fns`) of functions marked hot by a
-/// `// ramp-lint: hot` comment. Each marker binds to the next function
-/// declared at or within three lines below it (room for attributes and
-/// the visibility line), so a marker never leaks past one function onto
-/// its neighbour.
-fn hot_fn_indices(ctx: &FileContext, fns: &[&FnItem]) -> BTreeSet<usize> {
-    let marker_lines = ctx
+/// The exact text of a hot-path marker line.
+pub const HOT_MARKER: &str = "// ramp-lint: hot";
+
+/// Binds every `// ramp-lint: hot` marker to a function: returns the
+/// indices (into `fns`) of hot functions and the lines of markers that
+/// bind none. A marker is a plain line comment whose trimmed text is
+/// exactly [`HOT_MARKER`] (doc comments that mention it do not count);
+/// it binds the next function declared at or within three lines below
+/// it (room for attributes and the visibility line), so it never leaks
+/// past one function onto its neighbour.
+fn bind_hot_markers(ctx: &FileContext, fns: &[&FnItem]) -> (BTreeSet<usize>, Vec<u32>) {
+    let mut hot = BTreeSet::new();
+    let mut dangling = Vec::new();
+    let markers = ctx
         .tokens
         .iter()
-        .filter(|t| t.is_comment())
-        .filter(|t| t.text.contains("ramp-lint: hot") || t.text.contains("ramp-lint:hot"))
-        .map(|t| t.line);
-    let mut hot = BTreeSet::new();
-    for m in marker_lines {
+        .filter(|t| t.kind == crate::lexer::TokenKind::LineComment && t.text.trim() == HOT_MARKER);
+    for m in markers {
         let next = fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.line >= m)
+            .filter(|(_, f)| f.line >= m.line)
             .min_by_key(|(_, f)| f.line);
-        if let Some((i, f)) = next {
-            if f.line - m <= 3 {
+        match next {
+            Some((i, f)) if f.line - m.line <= 3 => {
                 hot.insert(i);
             }
+            _ => dangling.push(m.line),
         }
     }
-    hot
+    (hot, dangling)
 }
 
 /// Extracts one function's call/panic/alloc sites.
@@ -444,235 +448,6 @@ fn extract_atomics(ctx: &FileContext, parsed: &ParsedFile, out: &mut FileSummary
     }
 }
 
-// ------------------------------------------------------------- cache text
-
-/// Escapes a free-text field for the tab-separated cache format.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`esc`].
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some(other) => out.push(other),
-            None => break,
-        }
-    }
-    out
-}
-
-impl FileSummary {
-    /// Serializes the summary as the line-oriented cache payload.
-    #[must_use]
-    pub fn to_cache_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "file\t{}\t{}\t{}\n",
-            esc(&self.crate_name),
-            esc(&self.rel_path),
-            self.suppressed
-        ));
-        for f in &self.findings {
-            out.push_str(&format!(
-                "finding\t{}\t{}\t{}\t{}\t{}\n",
-                f.rule,
-                f.line,
-                f.col,
-                esc(&f.symbol),
-                esc(&f.message)
-            ));
-        }
-        for d in &self.atomic_decls {
-            out.push_str(&format!(
-                "adecl\t{}\t{}\t{}\t{}\n",
-                esc(&d.name),
-                esc(&d.keyword),
-                d.line,
-                d.col
-            ));
-        }
-        for op in &self.atomic_ops {
-            out.push_str(&format!(
-                "aop\t{}\t{}\t{}\t{}\t{}\n",
-                esc(&op.field),
-                esc(&op.method),
-                op.orderings.join(","),
-                op.line,
-                op.col
-            ));
-        }
-        for f in &self.fns {
-            let vis = match f.vis {
-                Vis::Pub => 'p',
-                Vis::Restricted => 'r',
-                Vis::Private => '-',
-            };
-            out.push_str(&format!(
-                "fn\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                esc(&f.name),
-                esc(&f.qual_name),
-                vis,
-                f.line,
-                f.col,
-                u8::from(f.hot),
-                esc(f.self_type.as_deref().unwrap_or(""))
-            ));
-            for c in &f.calls {
-                out.push_str(&format!(
-                    "call\t{}\t{}\t{}\t{}\t{}\n",
-                    esc(&c.callee),
-                    esc(c.qualifier.as_deref().unwrap_or("")),
-                    u8::from(c.is_method),
-                    c.line,
-                    c.col
-                ));
-            }
-            for p in &f.panics {
-                out.push_str(&format!(
-                    "panic\t{}\t{}\t{}\n",
-                    esc(&p.what),
-                    p.line,
-                    p.col
-                ));
-            }
-            for a in &f.allocs {
-                out.push_str(&format!(
-                    "alloc\t{}\t{}\t{}\n",
-                    esc(&a.what),
-                    a.line,
-                    a.col
-                ));
-            }
-        }
-        out
-    }
-
-    /// Parses a cache payload back into a summary. Returns `None` on any
-    /// malformed line — the caller treats that as a cache miss.
-    #[must_use]
-    pub fn from_cache_text(text: &str) -> Option<FileSummary> {
-        let mut summary = FileSummary::default();
-        let mut seen_header = false;
-        for line in text.lines() {
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields.as_slice() {
-                ["file", crate_name, rel_path, suppressed] => {
-                    summary.crate_name = unesc(crate_name);
-                    summary.rel_path = unesc(rel_path);
-                    summary.suppressed = suppressed.parse().ok()?;
-                    seen_header = true;
-                }
-                ["finding", rule, line_s, col, symbol, message] => {
-                    let meta = rules::rule_named(rule)?;
-                    summary.findings.push(Finding {
-                        rule: meta.name,
-                        severity: meta.severity,
-                        file: summary.rel_path.clone(),
-                        line: line_s.parse().ok()?,
-                        col: col.parse().ok()?,
-                        symbol: unesc(symbol),
-                        message: unesc(message),
-                    });
-                }
-                ["adecl", name, keyword, line_s, col] => {
-                    summary.atomic_decls.push(AtomicDecl {
-                        name: unesc(name),
-                        keyword: unesc(keyword),
-                        line: line_s.parse().ok()?,
-                        col: col.parse().ok()?,
-                    });
-                }
-                ["aop", field, method, orderings, line_s, col] => {
-                    summary.atomic_ops.push(AtomicOp {
-                        field: unesc(field),
-                        method: unesc(method),
-                        orderings: orderings
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect(),
-                        line: line_s.parse().ok()?,
-                        col: col.parse().ok()?,
-                    });
-                }
-                ["fn", name, qual, vis, line_s, col, hot, self_type] => {
-                    summary.fns.push(FnSummary {
-                        name: unesc(name),
-                        qual_name: unesc(qual),
-                        self_type: if self_type.is_empty() {
-                            None
-                        } else {
-                            Some(unesc(self_type))
-                        },
-                        vis: match *vis {
-                            "p" => Vis::Pub,
-                            "r" => Vis::Restricted,
-                            "-" => Vis::Private,
-                            _ => return None,
-                        },
-                        line: line_s.parse().ok()?,
-                        col: col.parse().ok()?,
-                        hot: *hot == "1",
-                        calls: Vec::new(),
-                        panics: Vec::new(),
-                        allocs: Vec::new(),
-                    });
-                }
-                ["call", callee, qualifier, is_method, line_s, col] => {
-                    let site = CallSite {
-                        callee: unesc(callee),
-                        qualifier: if qualifier.is_empty() {
-                            None
-                        } else {
-                            Some(unesc(qualifier))
-                        },
-                        is_method: *is_method == "1",
-                        line: line_s.parse().ok()?,
-                        col: col.parse().ok()?,
-                    };
-                    summary.fns.last_mut()?.calls.push(site);
-                }
-                ["panic", what, line_s, col] => {
-                    let site = PanicSite {
-                        what: unesc(what),
-                        line: line_s.parse().ok()?,
-                        col: col.parse().ok()?,
-                    };
-                    summary.fns.last_mut()?.panics.push(site);
-                }
-                ["alloc", what, line_s, col] => {
-                    let site = AllocSite {
-                        what: unesc(what),
-                        line: line_s.parse().ok()?,
-                        col: col.parse().ok()?,
-                    };
-                    summary.fns.last_mut()?.allocs.push(site);
-                }
-                _ => return None,
-            }
-        }
-        seen_header.then_some(summary)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,31 +580,5 @@ mod tests {
             ops,
             vec![("hits", "fetch_add", "Relaxed"), ("hits", "load", "Acquire")]
         );
-    }
-
-    #[test]
-    fn cache_text_roundtrips() {
-        let src = "// ramp-lint: hot\n\
-                   pub fn api(xs: &[u32]) -> u32 { helper(); xs[0] }\n\
-                   fn helper() { let v: Vec<u32> = Vec::new(); drop(v); }\n\
-                   static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);\n\
-                   fn bump() { N.fetch_add(1, std::sync::atomic::Ordering::Relaxed); }\n";
-        let s = summary("fleet", src);
-        let text = s.to_cache_text();
-        let back = FileSummary::from_cache_text(&text).expect("parses");
-        assert_eq!(back.rel_path, s.rel_path);
-        assert_eq!(back.fns.len(), s.fns.len());
-        assert_eq!(back.fns[0].calls, s.fns[0].calls);
-        assert_eq!(back.fns[0].panics, s.fns[0].panics);
-        assert_eq!(back.atomic_decls, s.atomic_decls);
-        assert_eq!(back.atomic_ops, s.atomic_ops);
-        assert_eq!(back.to_cache_text(), text, "stable fixed point");
-    }
-
-    #[test]
-    fn malformed_cache_text_is_a_miss() {
-        assert!(FileSummary::from_cache_text("garbage\tline\n").is_none());
-        assert!(FileSummary::from_cache_text("call\tno-enclosing-fn\t\t0\t1\t1\n").is_none());
-        assert!(FileSummary::from_cache_text("").is_none());
     }
 }

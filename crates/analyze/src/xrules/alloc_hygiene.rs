@@ -2,24 +2,38 @@
 //!
 //! The allocation-tracking work (BENCH_0003) pinned per-stage
 //! allocation budgets; this rule moves the same pressure to the source
-//! level. A function is *hot* when it carries a `// ramp-lint: hot`
-//! marker or appears in the checked-in `lint-hotpaths.toml` manifest.
-//! Any allocation-prone construct inside a hot function — `Vec::new`,
+//! level. A function is *hot* when a `// ramp-lint: hot` line sits
+//! directly above it (see [`crate::summary::HOT_MARKER`]). Any
+//! allocation-prone construct inside a hot function — `Vec::new`,
 //! `.push()`, `Box::new`, `format!`, `.clone()`, `.collect()`, … — is a
 //! warning, with one finding per function anchored at the first site.
+//! A marker that binds no function is a warning too: it would otherwise
+//! drop a hot path without a trace.
 
 use crate::findings::{Finding, Severity};
-use crate::hotpaths::HotManifest;
-use crate::summary::FileSummary;
+use crate::summary::{FileSummary, HOT_MARKER};
 
 /// Runs the rule over the workspace summaries.
 #[must_use]
-pub fn check(summaries: &[FileSummary], manifest: &HotManifest) -> Vec<Finding> {
+pub fn check(summaries: &[FileSummary]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in summaries {
+        for &line in &file.dangling_hot_markers {
+            findings.push(Finding {
+                rule: "alloc-hygiene",
+                severity: Severity::Warning,
+                file: file.rel_path.clone(),
+                line,
+                col: 1,
+                symbol: HOT_MARKER.to_string(),
+                message: format!(
+                    "`{HOT_MARKER}` binds no function; put it directly above \
+                     the hot function's declaration (at most 3 lines up)"
+                ),
+            });
+        }
         for func in &file.fns {
-            let hot = func.hot || manifest.is_hot(&file.crate_name, &func.qual_name);
-            if !hot || func.allocs.is_empty() {
+            if !func.hot || func.allocs.is_empty() {
                 continue;
             }
             let first = &func.allocs[0];
@@ -74,25 +88,23 @@ mod tests {
              }\n",
         );
         let all = [s];
-        let findings = check(&all, &HotManifest::default());
+        let findings = check(&all);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("Vec::new"));
         assert!(findings[0].message.contains("+1 more"));
     }
 
     #[test]
-    fn manifest_hot_fn_is_flagged_and_cold_fn_is_not() {
+    fn marked_impl_method_is_flagged_and_unmarked_fn_is_not() {
         let s = file(
             "impl Sim {\n\
+                 // ramp-lint: hot\n\
                  pub fn step_many(&mut self) { let v = vec![1]; drop(v); }\n\
              }\n\
              pub fn cold() { let v = Vec::new(); drop(v); }\n",
         );
-        let manifest =
-            HotManifest::parse("[[hot]]\ncrate = \"thermal\"\nsymbol = \"Sim::step_many\"\n")
-                .unwrap();
         let all = [s];
-        let findings = check(&all, &manifest);
+        let findings = check(&all);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].symbol, "Sim::step_many");
     }
@@ -107,7 +119,7 @@ mod tests {
              }\n",
         );
         let all = [s];
-        assert!(check(&all, &HotManifest::default()).is_empty());
+        assert!(check(&all).is_empty());
     }
 
     #[test]
@@ -119,6 +131,6 @@ mod tests {
              }\n",
         );
         let all = [s];
-        assert!(check(&all, &HotManifest::default()).is_empty());
+        assert!(check(&all).is_empty());
     }
 }

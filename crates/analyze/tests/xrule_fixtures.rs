@@ -6,19 +6,19 @@
 //! [`ramp_analyze::analyze_sources`], the same composition the workspace
 //! walk uses, so what passes here is what the real gate enforces.
 
-use ramp_analyze::{analyze_sources, FileKind, HotManifest};
+use ramp_analyze::{analyze_sources, FileKind};
 
 type Src = (&'static str, FileKind, &'static str, &'static str);
 
 fn rules_of(files: &[Src]) -> Vec<&'static str> {
-    analyze_sources(files, &HotManifest::default())
+    analyze_sources(files)
         .into_iter()
         .map(|f| f.rule)
         .collect()
 }
 
-fn findings_for(files: &[Src], rule: &str, hot: &HotManifest) -> Vec<ramp_analyze::Finding> {
-    analyze_sources(files, hot)
+fn findings_for(files: &[Src], rule: &str) -> Vec<ramp_analyze::Finding> {
+    analyze_sources(files)
         .into_iter()
         .filter(|f| f.rule == rule)
         .collect()
@@ -43,7 +43,7 @@ fn panic_reach_positive_reports_the_full_call_chain() {
             "pub(crate) fn inner(x: Option<u32>) -> u32 { x.unwrap() }\n",
         ),
     ];
-    let found = findings_for(&files, "panic-reach", &HotManifest::default());
+    let found = findings_for(&files, "panic-reach");
     assert_eq!(found.len(), 1, "exactly the pub entry point is flagged");
     let f = &found[0];
     assert_eq!(f.symbol, "entry");
@@ -113,7 +113,7 @@ fn float_determinism_positive_seeded_accumulation_in_executor_closure() {
              })\n\
          }\n",
     )];
-    let found = findings_for(&files, "float-determinism", &HotManifest::default());
+    let found = findings_for(&files, "float-determinism");
     assert_eq!(found.len(), 1, "the seeded `f64 +=` is caught");
     assert_eq!(found[0].file, "crates/core/src/study.rs");
 }
@@ -166,7 +166,7 @@ fn atomic_ordering_positive_relaxed_store_against_acquire_load() {
             "pub fn consume(flag: &AtomicBool) -> bool { flag.load(Ordering::Acquire) }\n",
         ),
     ];
-    let found = findings_for(&files, "atomic-ordering", &HotManifest::default());
+    let found = findings_for(&files, "atomic-ordering");
     assert_eq!(found.len(), 1);
     assert!(found[0].message.contains("Relaxed"));
     assert!(found[0].message.contains("Acquire"));
@@ -217,24 +217,59 @@ fn alloc_hygiene_positive_marker_hot_function_with_allocation() {
              xs.iter().map(|x| x * 2.0).collect()\n\
          }\n",
     )];
-    let found = findings_for(&files, "alloc-hygiene", &HotManifest::default());
+    let found = findings_for(&files, "alloc-hygiene");
     assert_eq!(found.len(), 1);
     assert_eq!(found[0].symbol, "step");
 }
 
 #[test]
-fn alloc_hygiene_manifest_hot_function_with_allocation() {
+fn alloc_hygiene_marked_impl_method_is_flagged_and_unmarked_fn_is_not() {
     let files: [Src; 1] = [(
         "thermal",
         FileKind::Lib,
         "crates/thermal/src/sim.rs",
-        "pub fn step(xs: &[f64]) -> Vec<f64> { xs.to_vec() }\n",
+        "impl Sim {\n\
+             // ramp-lint: hot\n\
+             pub fn step(&mut self, xs: &[f64]) -> Vec<f64> { xs.to_vec() }\n\
+         }\n\
+         pub fn cold(xs: &[f64]) -> Vec<f64> { xs.to_vec() }\n",
     )];
-    let hot = HotManifest::parse(
-        "[[hot]]\ncrate = \"thermal\"\nsymbol = \"step\"\n",
-    )
-    .expect("manifest parses");
-    assert_eq!(findings_for(&files, "alloc-hygiene", &hot).len(), 1);
+    let found = findings_for(&files, "alloc-hygiene");
+    assert_eq!(found.len(), 1);
+    assert_eq!(found[0].symbol, "Sim::step");
+}
+
+#[test]
+fn alloc_hygiene_dangling_marker_is_a_finding() {
+    // The marker sits four lines above the next function: it binds
+    // nothing, which would silently drop a hot path.
+    let files: [Src; 1] = [(
+        "thermal",
+        FileKind::Lib,
+        "crates/thermal/src/sim.rs",
+        "// ramp-lint: hot\n\
+         \n\
+         const SCALE: f64 = 2.0;\n\
+         \n\
+         pub fn step(xs: &mut [f64]) { for x in xs { *x *= SCALE; } }\n",
+    )];
+    let found = findings_for(&files, "alloc-hygiene");
+    assert_eq!(found.len(), 1);
+    assert_eq!((found[0].line, found[0].symbol.as_str()), (1, "// ramp-lint: hot"));
+}
+
+#[test]
+fn alloc_hygiene_doc_comment_mentioning_the_marker_is_not_one() {
+    let files: [Src; 1] = [(
+        "thermal",
+        FileKind::Lib,
+        "crates/thermal/src/sim.rs",
+        "/// Not hot: only a plain `// ramp-lint: hot` line marks a function.\n\
+         pub fn report(xs: &[f64]) -> Vec<f64> { xs.to_vec() }\n\
+         /* // ramp-lint: hot */\n\
+         pub fn table(xs: &[f64]) -> Vec<f64> { xs.to_vec() }\n",
+    )];
+    assert!(findings_for(&files, "alloc-hygiene").is_empty());
 }
 
 #[test]

@@ -13,18 +13,22 @@
 //! * `--check` — validate the exported trace (well-formed complete and
 //!   counter events, monotone timestamps, cache-outcome args, ≥ 90 %
 //!   critical-path coverage, ≥ 90 % of allocated bytes attributed to
-//!   spans); non-zero exit on any failure
+//!   spans) and the JSONL event stream against the run manifest (every
+//!   line parses, one `span_end` per run for each pipeline stage, a
+//!   `study` root span, stage tree within 10 % of wall-clock); non-zero
+//!   exit on any failure
 //!
 //! The study runs with the tracking allocator on, so the attribution
 //! report carries self-alloc columns, the trace JSON carries a
 //! `memory.live_bytes` counter track, and the run manifest (written next
 //! to the trace as `<out>-manifest.json`) carries the per-stage
-//! allocation tree.
+//! allocation tree. Events go to `RAMP_EVENTS` when set, else next to
+//! the trace as `<out>-events.jsonl`.
 //!
 //! The exit code is 0 on success and 1 when `--check` finds a violation,
 //! so CI can gate on it directly.
 
-use ramp_core::{run_study, StudyConfig};
+use ramp_core::{run_study, RunManifest, StudyConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -56,6 +60,13 @@ fn main() -> ExitCode {
         .unwrap_or(ramp_obs::DEFAULT_RING_CAPACITY);
     let top = flag_value("--top").and_then(|v| v.parse().ok()).unwrap_or(12);
     ramp_obs::install_trace(Some(&out), capacity);
+    if ramp_obs::event_file_path().is_none() {
+        let events = sibling_path(&out, "events.jsonl");
+        let filter = ramp_obs::Filter::from_env().with_default_at_least(ramp_obs::Level::Debug);
+        if let Err(e) = ramp_obs::install_jsonl(&events, filter) {
+            eprintln!("trace: cannot open {}: {e}", events.display());
+        }
+    }
 
     let config = if has_flag("--full") {
         StudyConfig::default()
@@ -81,7 +92,7 @@ fn main() -> ExitCode {
     // the per-stage allocation attribution of this run, and its global
     // ledger section only exists while tracking is still on — capture
     // before the toggle flips back.
-    let manifest = ramp_core::RunManifest::capture(&config, &results);
+    let manifest = RunManifest::capture(&config, &results);
 
     ramp_obs::set_alloc_tracking(false);
     let alloc_after = ramp_obs::alloc_stats();
@@ -93,7 +104,7 @@ fn main() -> ExitCode {
     let stats = ramp_obs::ring_stats();
     let report = ramp_obs::critical_path_report(&spans, top);
 
-    let manifest_path = manifest_path(&out);
+    let manifest_path = sibling_path(&out, "manifest.json");
     if let Err(e) = manifest.write_json(&manifest_path) {
         eprintln!("trace: manifest write failed: {e}");
     }
@@ -132,18 +143,19 @@ fn main() -> ExitCode {
     print!("{}", report.flame);
 
     if has_flag("--check") {
-        return check(&out, &report, &spans, alloc_delta.alloc_bytes);
+        return check(&out, &report, &spans, alloc_delta.alloc_bytes, &manifest);
     }
     ExitCode::SUCCESS
 }
 
-/// `target/ramp-trace.json` → `target/ramp-trace-manifest.json`.
-fn manifest_path(out: &std::path::Path) -> PathBuf {
+/// (`target/ramp-trace.json`, `manifest.json`) →
+/// `target/ramp-trace-manifest.json`.
+fn sibling_path(out: &std::path::Path, suffix: &str) -> PathBuf {
     let stem = out
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("ramp-trace");
-    out.with_file_name(format!("{stem}-manifest.json"))
+    out.with_file_name(format!("{stem}-{suffix}"))
 }
 
 /// Fraction of the study's allocated bytes the report attributed to
@@ -155,12 +167,14 @@ fn alloc_share(report: &ramp_obs::CriticalPathReport, allocated: u64) -> f64 {
     report.attributed_alloc_bytes as f64 / allocated as f64
 }
 
-/// Validates the exported trace end to end; prints one line per check.
+/// Validates the exported trace and the JSONL event stream end to end;
+/// prints one line per check.
 fn check(
     out: &std::path::Path,
     report: &ramp_obs::CriticalPathReport,
     spans: &[ramp_obs::CompletedSpan],
     allocated_bytes: u64,
+    manifest: &RunManifest,
 ) -> ExitCode {
     let mut failures = 0u32;
     let mut assert_that = |ok: bool, what: &str| {
@@ -250,6 +264,7 @@ fn check(
             allocated_bytes as f64 / (1024.0 * 1024.0)
         ),
     );
+    check_events(manifest, &mut assert_that);
     if failures == 0 {
         println!("check: all trace checks passed");
         ExitCode::SUCCESS
@@ -257,4 +272,62 @@ fn check(
         println!("check: {failures} trace check(s) FAILED");
         ExitCode::FAILURE
     }
+}
+
+/// The event-stream checks: the manifest names a JSONL file whose lines
+/// all parse, whose span coverage matches the runs that executed, and
+/// whose stage tree accounts for the study wall-clock.
+fn check_events(manifest: &RunManifest, assert_that: &mut impl FnMut(bool, &str)) {
+    let raw = match &manifest.event_file {
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| format!("event file {path} unreadable: {e}")),
+        None => Err("manifest has no event_file".to_string()),
+    };
+    match raw {
+        Ok(raw) => {
+            let lines = raw.lines().count();
+            let bad = raw
+                .lines()
+                .position(|l| serde_json::from_str::<serde::Value>(l).is_err());
+            assert_that(
+                lines > 0 && bad.is_none(),
+                &format!(
+                    "event file is non-empty JSONL ({lines} lines{})",
+                    bad.map_or(String::new(), |i| format!(", line {} is not JSON", i + 1))
+                ),
+            );
+            // The encoder is ours, so exact substring matching on the key
+            // fields is reliable.
+            let span_ends = |name: &str| -> u64 {
+                let needle = format!("\"name\":\"{name}\"");
+                raw.lines()
+                    .filter(|l| l.contains("\"type\":\"span_end\"") && l.contains(&needle))
+                    .count() as u64
+            };
+            let counts: Vec<(&str, u64)> = ["run", "timing", "first_pass", "second_pass"]
+                .into_iter()
+                .map(|stage| (stage, span_ends(stage)))
+                .collect();
+            assert_that(
+                counts.iter().all(|&(_, n)| n >= manifest.runs),
+                &format!(
+                    "every stage has >= {} span_end events, one per run (got {counts:?})",
+                    manifest.runs
+                ),
+            );
+            assert_that(span_ends("study") >= 1, "event stream has a study span_end");
+        }
+        Err(e) => assert_that(false, &e),
+    }
+    let study_seconds = manifest.stage_seconds("study");
+    let wall = manifest.wall_seconds;
+    let rel_err = (study_seconds - wall).abs() / wall;
+    assert_that(
+        wall > 0.0 && rel_err <= 0.10,
+        &format!(
+            "stage tree root ({study_seconds:.3}s) within 10% of wall-clock ({wall:.3}s), \
+             off by {:.1}%",
+            rel_err * 100.0
+        ),
+    );
 }

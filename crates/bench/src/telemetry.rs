@@ -44,17 +44,14 @@ use std::time::Instant;
 /// Snapshot schema version, bumped on incompatible field changes.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
-/// Benchmarks of the reference workload: two per suite, matching the
-/// `profile` binary's quick subset so snapshots and obs-smoke output
-/// describe the same work.
+/// Benchmarks of the reference workload: two per suite.
 pub const REFERENCE_BENCHMARKS: [&str; 4] = ["gzip", "vpr", "ammp", "apsi"];
 
 /// Label stamped into snapshots and per-sample manifests.
 pub const REFERENCE_LABEL: &str = "reference_workload";
 
 /// The study configuration the harness measures: the quick pipeline over
-/// [`REFERENCE_BENCHMARKS`] with the thermal trace recorded (same shape
-/// as the obs-smoke run).
+/// [`REFERENCE_BENCHMARKS`] with the thermal trace recorded.
 #[must_use]
 pub fn reference_workload() -> StudyConfig {
     let mut cfg = StudyConfig::quick()

@@ -85,6 +85,7 @@ impl GsharePredictor {
     /// Updates predictor state with the actual outcome and records whether
     /// the preceding prediction was correct. Returns `true` if the
     /// prediction was correct.
+    // ramp-lint: hot
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
         let idx = self.index(pc);
         // ramp-lint:allow(panic-reach) -- `index()` masks into the table length

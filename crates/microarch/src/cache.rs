@@ -50,6 +50,7 @@ impl Cache {
     ///
     /// On a miss the line is filled, evicting the LRU way if the set is
     /// full.
+    // ramp-lint: hot
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set_idx = (line & self.set_mask) as usize;

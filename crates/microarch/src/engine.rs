@@ -315,6 +315,7 @@ impl Engine {
     }
 
     /// Executes one trace record through the model.
+    // ramp-lint: hot
     pub fn step(&mut self, rec: &TraceRecord) {
         // ---------------- Fetch ------------------------------------------
         // Backpressure: fetch may run at most `fetch_buffer` instructions

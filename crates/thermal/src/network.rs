@@ -261,6 +261,7 @@ impl RcNetwork {
     /// mass is orders of magnitude larger than anything simulated at
     /// microsecond granularity, which is exactly why the paper initialises
     /// it from a separate steady-state pass ([`RcNetwork::steady_state`]).
+    // ramp-lint: hot
     #[must_use]
     pub fn step(
         &self,

@@ -143,6 +143,7 @@ impl ThermalSimulator {
     /// steps of `dt` each, recording the substep count in the
     /// `thermal.substeps_per_interval` histogram. Equivalent to calling
     /// [`ThermalSimulator::step`] `substeps` times.
+    // ramp-lint: hot
     #[must_use]
     pub fn step_many(
         &self,

@@ -44,6 +44,7 @@ impl Rng {
     }
 
     /// Returns the next 64 random bits.
+    // ramp-lint: hot
     pub fn next_u64(&mut self) -> u64 {
         let [mut s0, mut s1, mut s2, mut s3] = self.s;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);

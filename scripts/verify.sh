@@ -17,24 +17,22 @@ cargo test --release --workspace --locked -q
 echo "== static analysis: ramp-lint (workspace invariants) =="
 # Token rules (unit safety, determinism, obs/panic/span hygiene) plus
 # the structural v2 rules (panic-reach, float-determinism,
-# atomic-ordering, alloc-hygiene). Fails on any finding not covered by
-# lint-baseline.toml or an inline allow, and — via --fail-stale — on
-# baseline entries that no longer match a finding (prune with
-# `ramp-lint --prune-baseline`). The JSON report and the SARIF file for
+# atomic-ordering, alloc-hygiene). Fails on any finding not justified by
+# an inline `ramp-lint:allow`. The JSON report and the SARIF file for
 # code scanning both land in target/ for inspection and CI upload.
 mkdir -p target
 lint_status=0
 cargo run --release --locked -p ramp-analyze --bin ramp-lint -- \
-    --root . --fail-stale --format json \
+    --root . --format json \
     > target/ramp-lint-report.json || lint_status=$?
 if [ "${lint_status}" -ne 0 ]; then
     # Re-run in human format so the failure is readable in the log.
     cargo run --release --locked -p ramp-analyze --bin ramp-lint -- \
-        --root . --fail-stale || true
+        --root . || true
     exit "${lint_status}"
 fi
 cargo run --release --locked -p ramp-analyze --bin ramp-lint -- \
-    --root . --fail-stale --format sarif > target/ramp-lint.sarif
+    --root . --format sarif > target/ramp-lint.sarif
 echo "ramp-lint: clean (report at target/ramp-lint-report.json, SARIF at target/ramp-lint.sarif)"
 
 echo "== static analysis: clippy (workspace lint table, warnings are errors) =="
@@ -56,19 +54,16 @@ for threads in 1 4; do
         --test parallel_determinism
 done
 
-echo "== observability: instrumented study, JSONL events, manifest =="
-# Runs a short study with tracing + metrics fully on, then validates that
-# the JSONL event stream parses, covers every pipeline stage, and that the
-# manifest's stage tree accounts for the wall-clock (within 10%).
-RAMP_LOG=debug RAMP_EVENTS=target/obs-smoke-events.jsonl \
-    cargo run --release --locked -p ramp-bench --bin profile -- --check
-
-echo "== trace smoke: causal trace export + critical-path attribution =="
-# Runs a traced quick study, then validates the Chrome Trace Event export
-# (complete events, monotone timestamps, cache-outcome args) and that the
-# critical path attributes >=90% of study wall-clock to named spans. The
+echo "== trace smoke: causal trace export, critical path, JSONL events, manifest =="
+# Runs a traced quick study with tracing + metrics fully on, then
+# validates the Chrome Trace Event export (complete events, monotone
+# timestamps, cache-outcome args), that the critical path attributes
+# >=90% of study wall-clock to named spans, that the JSONL event stream
+# parses and covers every pipeline stage of every run, and that the
+# manifest's stage tree accounts for the wall-clock (within 10%). The
 # Perfetto-loadable trace lands in target/ for inspection and CI upload.
-cargo run --release --locked -p ramp-bench --bin trace -- \
+RAMP_LOG=debug RAMP_EVENTS=target/obs-smoke-events.jsonl \
+    cargo run --release --locked -p ramp-bench --bin trace -- \
     --check --out target/trace-smoke.json
 
 echo "== alloc smoke: tracking allocator on end to end =="
