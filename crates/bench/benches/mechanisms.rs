@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the RAMP failure models: single-mechanism rate
-//! evaluation, the full per-interval accumulation step, report
+//! evaluation, the second pass's rate accumulation over a fixed
+//! 1000-interval sequence, report
 //! generation — the inner loop of the reliability engine — and the fleet's
 //! per-chip kernel, which re-prices every mechanism once per sampled chip.
 
@@ -27,7 +28,7 @@ fn bench_single_rates(c: &mut Criterion) {
     let node = TechNode::reference();
     let point = ops()[ramp_microarch::Structure::Lsu];
     let mut group = c.benchmark_group("mechanism_rate");
-    for model in &models {
+    for model in models.iter() {
         group.bench_function(model.kind().label(), |b| {
             b.iter(|| black_box(model.relative_rate(black_box(&point), &node)));
         });
@@ -35,22 +36,44 @@ fn bench_single_rates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_observe_interval(c: &mut Criterion) {
+/// Intervals in one pass of the accumulator benchmark.
+const OBSERVE_INTERVALS: usize = 1000;
+
+/// A fixed operating-point sequence at `node`'s supply: temperatures
+/// sweep 340–379 K and activities 0–1 (idle included) per structure.
+fn interval_sequence(node: &TechNode) -> Vec<PerStructure<OperatingPoint>> {
+    (0..OBSERVE_INTERVALS)
+        .map(|i| {
+            PerStructure::from_fn(|s| {
+                let k = s.index();
+                OperatingPoint::new(
+                    Kelvin::new(340.0 + ((i * 7 + k * 13) % 40) as f64).unwrap(),
+                    node.vdd,
+                    ActivityFactor::new(((i * 3 + k * 5) % 11) as f64 / 10.0).unwrap(),
+                )
+            })
+        })
+        .collect()
+}
+
+fn bench_rate_accumulator_observe(c: &mut Criterion) {
     let models = standard_models();
-    let node = TechNode::get(NodeId::N65HighV);
-    let point = ops();
-    c.bench_function("accumulator_observe_100_intervals", |b| {
-        b.iter_batched(
-            || RateAccumulator::new(&models, node),
-            |mut acc| {
-                for _ in 0..100 {
-                    acc.observe(black_box(&point), 1.0);
+    let mut group = c.benchmark_group("rate_accumulator_observe");
+    group.throughput(Throughput::Elements(OBSERVE_INTERVALS as u64));
+    for (label, id) in [("180nm", NodeId::N180), ("65nm", NodeId::N65HighV)] {
+        let node = TechNode::get(id);
+        let sequence = interval_sequence(&node);
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let mut acc = RateAccumulator::new(&models, node);
+                for ops in &sequence {
+                    acc.observe(black_box(ops), 1.0);
                 }
-                acc.finish()
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
+                black_box(acc.finish())
+            });
+        });
+    }
+    group.finish();
 }
 
 fn bench_fit_report(c: &mut Criterion) {
@@ -103,6 +126,6 @@ fn bench_fleet_sample_chip(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_single_rates, bench_observe_interval, bench_fit_report, bench_fleet_sample_chip
+    targets = bench_single_rates, bench_rate_accumulator_observe, bench_fit_report, bench_fleet_sample_chip
 }
 criterion_main!(benches);

@@ -33,7 +33,7 @@ fn main() {
         "{:<6} {:>14} {:>14} {:>18}",
         "mech", "x per +10K", "x per +0.1V", "x feature terms*"
     );
-    for model in &models {
+    for model in models.iter() {
         let base = model.relative_rate(&op(t0, v0), &n180);
         let hot = model.relative_rate(&op(t0 + 10.0, v0), &n180);
         let volt = model.relative_rate(&op(t0, v0 + 0.1), &n180);

@@ -15,7 +15,7 @@
 //! controller and reports both the reliability outcome and the performance
 //! cost.
 
-use crate::mechanisms::FailureModel;
+use crate::mechanisms::StandardModels;
 use crate::pipeline::PipelineConfig;
 use crate::rates::RateAccumulator;
 use crate::{OperatingPoint, Qualification, RampError, TechNode};
@@ -271,7 +271,7 @@ pub fn run_with_drm(
     profile: &BenchmarkProfile,
     node: &TechNode,
     cfg: &PipelineConfig,
-    models: &[Box<dyn FailureModel>],
+    models: &StandardModels,
     qualification: &Qualification,
     policy: DrmPolicy,
     ladder: Vec<DvsLevel>,
@@ -434,7 +434,7 @@ mod tests {
     use ramp_trace::spec;
 
     fn setup() -> (
-        Vec<Box<dyn FailureModel>>,
+        StandardModels,
         PipelineConfig,
         BenchmarkProfile,
         Qualification,

@@ -69,7 +69,7 @@ pub use manifest::{
     MANIFEST_SCHEMA_VERSION,
 };
 pub use operating::OperatingPoint;
-pub use pipeline::{run_app_on_node, AppNodeRun, PipelineConfig, StageTimings};
+pub use pipeline::{reference_power, run_app_on_node, AppNodeRun, PipelineConfig, StageTimings};
 pub use qualification::{FitReport, Qualification, FIT_PER_MECHANISM};
 pub use query::{PopulationAnchor, QueryEngine, QueryOutcome, ReliabilityQuery};
 pub use rates::{AveragedRates, RateAccumulator};

@@ -71,6 +71,28 @@ impl Electromigration {
             geometry_exponent: 2.0,
         }
     }
+
+    /// `J^n` with `J = p · J_max(node)`.
+    #[inline]
+    fn current_term(&self, activity: ActivityFactor, node: &TechNode) -> f64 {
+        node.j_max.at_activity(activity).value().powf(self.current_exponent)
+    }
+
+    /// `terms`, prepared on `node`, re-prepared at another activity: only
+    /// `J^n` depends on it, so `κ^{−g}` is kept. Bit-identical to
+    /// [`SplitRate::prepare`] at `activity` on `node`.
+    #[inline]
+    pub(crate) fn at_activity(
+        &self,
+        terms: EmTerms,
+        activity: ActivityFactor,
+        node: &TechNode,
+    ) -> EmTerms {
+        EmTerms {
+            current: self.current_term(activity, node),
+            ..terms
+        }
+    }
 }
 
 impl FailureModel for Electromigration {
@@ -97,9 +119,8 @@ impl SplitRate for Electromigration {
 
     #[inline]
     fn prepare(&self, _voltage: Volts, activity: ActivityFactor, node: &TechNode) -> EmTerms {
-        let j = node.j_max.at_activity(activity).value();
         EmTerms {
-            current: j.powf(self.current_exponent),
+            current: self.current_term(activity, node),
             geometry: node.scale_factor.powf(-self.geometry_exponent),
         }
     }

@@ -127,8 +127,13 @@ pub trait SplitRate: FailureModel {
     fn rate_at(&self, prepared: &Self::Prepared, temperature: Kelvin) -> f64;
 }
 
-/// The standard model set as concrete types, for callers that evaluate
-/// [`SplitRate`] without dynamic dispatch.
+/// The standard model set: all four mechanisms with their default
+/// (paper/calibrated) parameters, as concrete types.
+///
+/// `Copy` and statically dispatched: [`crate::RateAccumulator`] and the
+/// fleet's chip kernel call each model's [`SplitRate`] terms directly.
+/// [`StandardModels::iter`] views the set as trait objects for code that
+/// loops over mechanisms.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StandardModels {
     /// Electromigration.
@@ -141,17 +146,19 @@ pub struct StandardModels {
     pub tc: ThermalCycling,
 }
 
-/// The standard model set: all four mechanisms with their default
-/// (paper/calibrated) parameters, in [`MechanismKind::ALL`] order.
+impl StandardModels {
+    /// The four models as trait objects, in [`MechanismKind::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = &dyn FailureModel> {
+        let models: [&dyn FailureModel; MechanismKind::COUNT] =
+            [&self.em, &self.sm, &self.tddb, &self.tc];
+        models.into_iter()
+    }
+}
+
+/// The standard model set (see [`StandardModels`]).
 #[must_use]
-pub fn standard_models() -> Vec<Box<dyn FailureModel>> {
-    let models = StandardModels::default();
-    vec![
-        Box::new(models.em),
-        Box::new(models.sm),
-        Box::new(models.tddb),
-        Box::new(models.tc),
-    ]
+pub fn standard_models() -> StandardModels {
+    StandardModels::default()
 }
 
 /// A dense per-mechanism map, indexed by [`MechanismKind`].
@@ -229,7 +236,7 @@ mod tests {
     fn standard_models_cover_all_kinds() {
         let models = standard_models();
         let mut kinds: Vec<_> = models.iter().map(|m| m.kind()).collect();
-        assert_eq!(kinds, MechanismKind::ALL, "boxed in canonical order");
+        assert_eq!(kinds, MechanismKind::ALL, "iterated in canonical order");
         kinds.sort();
         kinds.dedup();
         assert_eq!(kinds.len(), 4);
@@ -238,7 +245,7 @@ mod tests {
     #[test]
     fn all_rates_finite_positive_and_temperature_monotone() {
         let node = TechNode::reference();
-        for model in standard_models() {
+        for model in standard_models().iter() {
             let cool = model.relative_rate(&typical_op(340.0), &node);
             let hot = model.relative_rate(&typical_op(380.0), &node);
             assert!(cool.is_finite() && cool > 0.0, "{}", model.kind());
@@ -256,7 +263,7 @@ mod tests {
         // at the realistic 65 nm point (1.0 V) with its observed ~+10 K.
         let n180 = TechNode::reference();
         let n65 = TechNode::get(NodeId::N65HighV);
-        for model in standard_models() {
+        for model in standard_models().iter() {
             let mut op180 = typical_op(356.0);
             let mut op65 = typical_op(366.0);
             op180.voltage = n180.vdd;

@@ -14,9 +14,13 @@
 //!    application's sink temperature stays constant across nodes.
 //! 3. **Second pass** — the activity trace is replayed (several times) at
 //!    1 µs steps with the leakage↔temperature feedback closed, and RAMP
-//!    accumulates instantaneous failure rates per structure.
+//!    accumulates instantaneous failure rates per structure
+//!    ([`RateAccumulator`], which prepares the run-invariant rate terms
+//!    once). The power/thermal walk never reads the rates, so
+//!    [`reference_power`] runs the same loop without them to price the
+//!    180 nm anchor of the constant-sink rule.
 
-use crate::mechanisms::FailureModel;
+use crate::mechanisms::StandardModels;
 use crate::rates::{AveragedRates, RateAccumulator};
 use crate::{OperatingPoint, RampError, TechNode};
 use ramp_microarch::{
@@ -311,9 +315,71 @@ pub fn run_app_on_node(
     profile: &BenchmarkProfile,
     node: &TechNode,
     cfg: &PipelineConfig,
-    models: &[Box<dyn FailureModel>],
+    models: &StandardModels,
     reference_power: Option<Watts>,
 ) -> Result<AppNodeRun, RampError> {
+    let mut acc = RateAccumulator::new(models, *node);
+    let walk = walk(profile, node, cfg, reference_power, Some(&mut acc))?;
+    Ok(AppNodeRun {
+        app: profile.name.clone(),
+        node: *node,
+        ipc: walk.ipc,
+        avg_dynamic: walk.avg_dynamic,
+        avg_leakage: walk.avg_leakage,
+        sink_temperature: walk.sink_temperature,
+        rates: acc.finish(),
+        avg_activity: walk.avg_activity,
+        peak_activity: walk.peak_activity,
+        thermal_trace: walk.thermal_trace,
+        timings: walk.timings,
+    })
+}
+
+/// The benchmark's average total power at 180 nm: the anchor a
+/// scaled-node run takes as `reference_power` under the constant-sink
+/// rule.
+///
+/// This is [`run_app_on_node`] at [`TechNode::reference`] with no
+/// reference power — the same timing lookup, first pass, power/thermal
+/// walk and `run` span tree, through the same second-pass loop — without
+/// accumulating failure rates. The walk never reads the rates, so the
+/// result equals that run's [`AppNodeRun::avg_total`] bit for bit.
+///
+/// # Errors
+///
+/// Returns [`RampError`] if the configuration is invalid or a thermal
+/// solve fails.
+pub fn reference_power(
+    profile: &BenchmarkProfile,
+    cfg: &PipelineConfig,
+) -> Result<Watts, RampError> {
+    let walk = walk(profile, &TechNode::reference(), cfg, None, None)?;
+    Ok(walk.avg_dynamic + walk.avg_leakage)
+}
+
+/// One run's outcome but the rates: the fields of [`AppNodeRun`] that the
+/// power/thermal walk produces.
+struct Walk {
+    ipc: f64,
+    avg_dynamic: Watts,
+    avg_leakage: Watts,
+    sink_temperature: Kelvin,
+    avg_activity: PerStructure<ActivityFactor>,
+    peak_activity: PerStructure<ActivityFactor>,
+    thermal_trace: Option<Vec<PerStructure<Kelvin>>>,
+    timings: StageTimings,
+}
+
+/// The pipeline for one benchmark on one node, shared by
+/// [`run_app_on_node`] and [`reference_power`]. With `acc`, the second
+/// pass also accumulates each interval's failure rates into it.
+fn walk(
+    profile: &BenchmarkProfile,
+    node: &TechNode,
+    cfg: &PipelineConfig,
+    reference_power: Option<Watts>,
+    mut acc: Option<&mut RateAccumulator>,
+) -> Result<Walk, RampError> {
     cfg.validate()?;
     profile
         .validate()
@@ -377,7 +443,6 @@ pub fn run_app_on_node(
     // ---- Second pass: transient + RAMP accumulation ----------------------
     let second_pass_span = ramp_obs::span!("second_pass");
     let mut state = initial;
-    let mut acc = RateAccumulator::new(models, *node);
     let mut dyn_sum = 0.0;
     let mut leak_sum = 0.0;
     let mut samples = 0u64;
@@ -399,11 +464,13 @@ pub fn run_app_on_node(
         for interval in activity.intervals() {
             let sample = power.sample(&interval.factors, &state.structures);
             state = sim.step_many(&state, &sample.per_structure_total(), dt, substeps);
-            let ops = PerStructure::from_fn(|s| {
-                // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-                OperatingPoint::new(state.structures[s], node.vdd, interval.factors[s])
-            });
-            acc.observe(&ops, 1.0);
+            if let Some(acc) = acc.as_mut() {
+                let ops = PerStructure::from_fn(|s| {
+                    // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
+                    OperatingPoint::new(state.structures[s], node.vdd, interval.factors[s])
+                });
+                acc.observe(&ops, 1.0);
+            }
             if samples.is_multiple_of(stride) {
                 if let Some(trace) = thermal_trace.as_mut() {
                     trace.push(state.structures);
@@ -423,7 +490,6 @@ pub fn run_app_on_node(
             samples += 1;
         }
     }
-    let rates = acc.finish();
     let second_pass_elapsed = second_pass_span.finish();
     let timings = StageTimings {
         timing: timing_elapsed,
@@ -440,16 +506,13 @@ pub fn run_app_on_node(
     ));
     drop(run_span);
 
-    Ok(AppNodeRun {
-        app: profile.name.clone(),
-        node: *node,
+    Ok(Walk {
         ipc: out.stats.ipc(),
         avg_dynamic: Watts::new(dyn_sum / samples as f64)
             .expect("mean of valid powers is valid"), // ramp-lint:allow(panic-hygiene) -- mean of valid powers is valid
         avg_leakage: Watts::new(leak_sum / samples as f64)
             .expect("mean of valid powers is valid"), // ramp-lint:allow(panic-hygiene) -- mean of valid powers is valid
         sink_temperature: state.sink,
-        rates,
         avg_activity,
         peak_activity,
         thermal_trace,
@@ -568,6 +631,29 @@ mod tests {
         let full_trace = full.thermal_trace.as_ref().unwrap();
         for (i, t) in trace.iter().enumerate() {
             assert_eq!(*t, full_trace[i * 7]);
+        }
+    }
+
+    #[test]
+    fn reference_power_is_the_full_runs_average_power_bit_for_bit() {
+        let models = standard_models();
+        for trace_repeats in [1, 3] {
+            let cfg = PipelineConfig {
+                trace_repeats,
+                ..PipelineConfig::quick()
+            };
+            for profile in spec::all_profiles() {
+                let full = run_app_on_node(&profile, &TechNode::reference(), &cfg, &models, None)
+                    .unwrap()
+                    .avg_total();
+                let power_only = reference_power(&profile, &cfg).unwrap();
+                assert_eq!(
+                    power_only.value().to_bits(),
+                    full.value().to_bits(),
+                    "{} at trace_repeats {trace_repeats}: {power_only} vs {full}",
+                    profile.name
+                );
+            }
         }
     }
 

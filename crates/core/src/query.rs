@@ -10,15 +10,16 @@
 //! * [`QueryOutcome`] — the answer: absolute FIT, expected lifetime, and
 //!   qualification margin;
 //! * [`QueryEngine`] — a calibrated, cheap-to-clone evaluator. It holds
-//!   only immutable shared state (`Arc`ed models, `Copy` qualification),
-//!   so clones are a few pointer copies, [`QueryEngine::evaluate`] takes
+//!   only immutable state (`Copy` models and qualification, the base
+//!   pipeline configuration, a digest string), so clones are cheap,
+//!   [`QueryEngine::evaluate`] takes
 //!   `&self` and may run concurrently from any number of threads, and
 //!   abandoning a caller mid-evaluation cannot corrupt anything
 //!   (cancellation safety: there is no partial mutable state to unwind).
 
 use crate::manifest::{config_digest, fnv1a_hex};
-use crate::mechanisms::{standard_models, FailureModel, MechanismKind, PerMechanism};
-use crate::pipeline::{run_app_on_node, AppNodeRun, PipelineConfig};
+use crate::mechanisms::{standard_models, MechanismKind, PerMechanism, StandardModels};
+use crate::pipeline::{reference_power, run_app_on_node, AppNodeRun, PipelineConfig};
 use crate::qualification::FitReport;
 use crate::rates::AveragedRates;
 use crate::study::StudyConfig;
@@ -26,7 +27,6 @@ use crate::{Executor, NodeId, Qualification, RampError, TechNode, FIT_PER_MECHAN
 use ramp_trace::spec;
 use ramp_units::{Fit, Kelvin, Mttf, Watts, Years};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One reliability question: *what does this workload cost in lifetime at
 /// this node, under this pipeline configuration?*
@@ -136,7 +136,7 @@ pub struct PopulationAnchor {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
-    models: Arc<Vec<Box<dyn FailureModel>>>,
+    models: StandardModels,
     qualification: Qualification,
     base: PipelineConfig,
     calibration_digest: String,
@@ -178,7 +178,7 @@ impl QueryEngine {
             Qualification::from_reference_runs(&rates).map_err(RampError::Qualification)?;
         span.finish();
         Ok(QueryEngine {
-            models: Arc::new(models),
+            models,
             qualification,
             base: config.pipeline.clone(),
             calibration_digest: config_digest(config),
@@ -196,7 +196,7 @@ impl QueryEngine {
         calibration_tag: &str,
     ) -> Self {
         QueryEngine {
-            models: Arc::new(standard_models()),
+            models: standard_models(),
             qualification,
             base: pipeline,
             calibration_digest: fnv1a_hex(calibration_tag),
@@ -309,28 +309,19 @@ impl QueryEngine {
 
     /// Runs the pipeline for one query under the study recipe: 180 nm
     /// directly, scaled nodes anchored to the same workload's 180 nm
-    /// power (constant-sink rule).
+    /// power (constant-sink rule). The anchor comes from
+    /// [`reference_power`], the 180 nm run's power/thermal walk without
+    /// rate accumulation: the same watts as the full run's
+    /// [`AppNodeRun::avg_total`], at a fraction of its second-pass cost.
     fn run_query(&self, query: &ReliabilityQuery) -> Result<AppNodeRun, RampError> {
         let profile = spec::profile(&query.benchmark)?;
-        let node = TechNode::get(query.node);
-        if query.node == NodeId::N180 {
-            run_app_on_node(&profile, &node, &query.pipeline, &self.models, None)
+        let anchor = if query.node == NodeId::N180 {
+            None
         } else {
-            let reference = run_app_on_node(
-                &profile,
-                &TechNode::reference(),
-                &query.pipeline,
-                &self.models,
-                None,
-            )?;
-            run_app_on_node(
-                &profile,
-                &node,
-                &query.pipeline,
-                &self.models,
-                Some(reference.avg_total()),
-            )
-        }
+            Some(reference_power(&profile, &query.pipeline)?)
+        };
+        let node = TechNode::get(query.node);
+        run_app_on_node(&profile, &node, &query.pipeline, &self.models, anchor)
     }
 
     /// Evaluates the average chip for `query` and packages everything a

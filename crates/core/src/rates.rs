@@ -8,10 +8,12 @@
 //! accumulator tracks average temperature and evaluates TC once at the
 //! end.
 
-use crate::mechanisms::{FailureModel, MechanismKind, PerMechanism};
+use crate::mechanisms::{
+    EmTerms, FailureModel, MechanismKind, PerMechanism, SplitRate, StandardModels, TddbTerms,
+};
 use crate::{OperatingPoint, TechNode};
 use ramp_microarch::{PerStructure, Structure};
-use ramp_units::Kelvin;
+use ramp_units::{ActivityFactor, Kelvin, Volts};
 
 /// Time-averaged relative failure rates, per mechanism and structure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,36 +66,37 @@ impl AveragedRates {
 }
 
 /// Accumulates instantaneous rates across a run.
-pub struct RateAccumulator<'m> {
-    models: &'m [Box<dyn FailureModel>],
+///
+/// The models are called by static dispatch, and the terms that do not
+/// change within a run are prepared once, not once per (interval,
+/// structure): EM's geometry penalty `κ^{−g}` per accumulator, and TDDB's
+/// `ln V`, `ln A_rel` and t_ox terms per supply voltage, held in a
+/// one-entry memo so a DVS switch re-prepares them. Every rate is still
+/// the model's `rate_at(&prepare(..), T)`, so the sums are the same `f64`s
+/// as calling each model's `relative_rate` cell by cell.
+#[derive(Debug)]
+pub struct RateAccumulator {
+    models: StandardModels,
     node: TechNode,
+    em_terms: EmTerms,
+    tddb_voltage: Volts,
+    tddb_terms: TddbTerms,
     rate_sums: PerMechanism<PerStructure<f64>>,
     temp_sums: PerStructure<f64>,
     temp_peaks: PerStructure<f64>,
     weight: f64,
 }
 
-impl std::fmt::Debug for RateAccumulator<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RateAccumulator")
-            .field("node", &self.node.id)
-            .field("weight", &self.weight)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'m> RateAccumulator<'m> {
+impl RateAccumulator {
     /// Creates an accumulator for `node` using the given model set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models` is empty.
     #[must_use]
-    pub fn new(models: &'m [Box<dyn FailureModel>], node: TechNode) -> Self {
-        assert!(!models.is_empty(), "at least one failure model required");
+    pub fn new(models: &StandardModels, node: TechNode) -> Self {
         RateAccumulator {
-            models,
+            models: *models,
             node,
+            em_terms: models.em.prepare(node.vdd, ActivityFactor::IDLE, &node),
+            tddb_voltage: node.vdd,
+            tddb_terms: models.tddb.prepare(node.vdd, ActivityFactor::IDLE, &node),
             rate_sums: PerMechanism::from_fn(|_| PerStructure::from_fn(|_| 0.0)),
             temp_sums: PerStructure::from_fn(|_| 0.0),
             temp_peaks: PerStructure::from_fn(|_| 0.0),
@@ -114,25 +117,29 @@ impl<'m> RateAccumulator<'m> {
             dt_weight.is_finite() && dt_weight > 0.0,
             "interval weight must be positive"
         );
-        for model in self.models {
-            let kind = model.kind();
-            if kind == MechanismKind::Tc {
-                continue; // evaluated on the average temperature at finish
+        let StandardModels { em, sm, tddb, .. } = self.models;
+        for s in Structure::ALL {
+            let op = &ops[s]; // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
+            if op.voltage != self.tddb_voltage {
+                self.tddb_voltage = op.voltage;
+                self.tddb_terms = tddb.prepare(op.voltage, op.activity, &self.node);
             }
-            for s in Structure::ALL {
-                // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-                let r = model.relative_rate(&ops[s], &self.node);
+            let em_terms = em.at_activity(self.em_terms, op.activity, &self.node);
+            let rates = [
+                (MechanismKind::Em, em.rate_at(&em_terms, op.temperature)),
+                (MechanismKind::Sm, sm.rate_at(&(), op.temperature)),
+                (MechanismKind::Tddb, tddb.rate_at(&self.tddb_terms, op.temperature)),
+            ];
+            for (kind, r) in rates {
                 assert!(
                     r.is_finite() && r >= 0.0,
                     "{kind} produced invalid rate {r}"
                 );
                 self.rate_sums[kind][s] += r * dt_weight; // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
             }
-        }
-        for s in Structure::ALL {
-            let t = ops[s].temperature.value(); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-            self.temp_sums[s] += t * dt_weight;
-            if t > self.temp_peaks[s] { // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
+            let t = op.temperature.value();
+            self.temp_sums[s] += t * dt_weight; // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
+            if t > self.temp_peaks[s] { // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
                 self.temp_peaks[s] = t;
             }
         }
@@ -155,17 +162,13 @@ impl<'m> RateAccumulator<'m> {
         let mut per_mechanism =
             PerMechanism::from_fn(|m| PerStructure::from_fn(|s| self.rate_sums[m][s] / self.weight)); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
         // Thermal cycling: one evaluation at the average temperature.
-        for model in self.models {
-            if model.kind() == MechanismKind::Tc {
-                for s in Structure::ALL {
-                    let op = OperatingPoint::new(
-                        avg_temp[s], // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-                        self.node.vdd,
-                        ramp_units::ActivityFactor::IDLE,
-                    );
-                    per_mechanism[MechanismKind::Tc][s] = model.relative_rate(&op, &self.node); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-                }
-            }
+        for s in Structure::ALL {
+            let op = OperatingPoint::new(
+                avg_temp[s], // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
+                self.node.vdd,
+                ActivityFactor::IDLE,
+            );
+            per_mechanism[MechanismKind::Tc][s] = self.models.tc.relative_rate(&op, &self.node); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
         }
         AveragedRates {
             per_mechanism,
@@ -181,8 +184,145 @@ impl<'m> RateAccumulator<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drm::DvsLevel;
     use crate::mechanisms::standard_models;
-    use ramp_units::{ActivityFactor, Volts};
+    use crate::NodeId;
+    use proptest::prelude::*;
+
+    /// The direct accumulator, with nothing prepared: every model boxed
+    /// behind `dyn FailureModel`, every rate a `relative_rate` call per
+    /// (mechanism, structure) cell. The oracle of the bit-identity
+    /// property below.
+    struct BoxedReference {
+        models: Vec<Box<dyn FailureModel>>,
+        node: TechNode,
+        rate_sums: PerMechanism<PerStructure<f64>>,
+        temp_sums: PerStructure<f64>,
+        temp_peaks: PerStructure<f64>,
+        weight: f64,
+    }
+
+    impl BoxedReference {
+        fn new(node: TechNode) -> Self {
+            let m = standard_models();
+            BoxedReference {
+                models: vec![Box::new(m.em), Box::new(m.sm), Box::new(m.tddb), Box::new(m.tc)],
+                node,
+                rate_sums: PerMechanism::from_fn(|_| PerStructure::from_fn(|_| 0.0)),
+                temp_sums: PerStructure::from_fn(|_| 0.0),
+                temp_peaks: PerStructure::from_fn(|_| 0.0),
+                weight: 0.0,
+            }
+        }
+
+        fn observe(&mut self, ops: &PerStructure<OperatingPoint>, dt_weight: f64) {
+            for model in &self.models {
+                let kind = model.kind();
+                if kind == MechanismKind::Tc {
+                    continue;
+                }
+                for s in Structure::ALL {
+                    let r = model.relative_rate(&ops[s], &self.node);
+                    self.rate_sums[kind][s] += r * dt_weight;
+                }
+            }
+            for s in Structure::ALL {
+                let t = ops[s].temperature.value();
+                self.temp_sums[s] += t * dt_weight;
+                if t > self.temp_peaks[s] {
+                    self.temp_peaks[s] = t;
+                }
+            }
+            self.weight += dt_weight;
+        }
+
+        fn finish(self) -> AveragedRates {
+            let avg_temp =
+                PerStructure::from_fn(|s| Kelvin::new(self.temp_sums[s] / self.weight).unwrap());
+            let mut per_mechanism = PerMechanism::from_fn(|m| {
+                PerStructure::from_fn(|s| self.rate_sums[m][s] / self.weight)
+            });
+            for model in &self.models {
+                if model.kind() == MechanismKind::Tc {
+                    for s in Structure::ALL {
+                        let op =
+                            OperatingPoint::new(avg_temp[s], self.node.vdd, ActivityFactor::IDLE);
+                        per_mechanism[MechanismKind::Tc][s] = model.relative_rate(&op, &self.node);
+                    }
+                }
+            }
+            AveragedRates {
+                per_mechanism,
+                average_temperature: avg_temp,
+                peak_temperature: PerStructure::from_fn(|s| {
+                    Kelvin::new(self.temp_peaks[s].max(1e-6)).unwrap()
+                }),
+            }
+        }
+    }
+
+    fn assert_bit_identical(got: &AveragedRates, want: &AveragedRates) {
+        for s in Structure::ALL {
+            for m in MechanismKind::ALL {
+                assert_eq!(
+                    got.rate(m, s).to_bits(),
+                    want.rate(m, s).to_bits(),
+                    "{m} {s}: {} vs {}",
+                    got.rate(m, s),
+                    want.rate(m, s)
+                );
+            }
+            assert_eq!(
+                got.average_temperature()[s].value().to_bits(),
+                want.average_temperature()[s].value().to_bits()
+            );
+            assert_eq!(
+                got.peak_temperature()[s].value().to_bits(),
+                want.peak_temperature()[s].value().to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The prepared-term kernel sums the same `f64`s as the boxed,
+        /// cell-by-cell reference: on every node, over temperatures,
+        /// activities (a quarter of them exactly idle, the `at_activity`
+        /// floor) and interval weights, with the supply switching between
+        /// two DVS ladder levels mid-run.
+        #[test]
+        fn kernel_matches_the_boxed_reference_bit_for_bit(
+            node_idx in 0usize..5,
+            intervals in proptest::collection::vec(
+                (315.0f64..395.0, 0.0f64..1.0, 0.0f64..1.0, 0.25f64..4.0),
+                1..48,
+            ),
+            levels in (0usize..3, 0usize..3),
+            switch_at in 0usize..48,
+            spread in 0.0f64..12.0,
+        ) {
+            let node = TechNode::get(NodeId::ALL[node_idx]);
+            let ladder = DvsLevel::standard_ladder(&node);
+            let mut kernel = RateAccumulator::new(&standard_models(), node);
+            let mut reference = BoxedReference::new(node);
+            for (i, &(t, p, idle, weight)) in intervals.iter().enumerate() {
+                let level = if i < switch_at { levels.0 } else { levels.1 };
+                let ops = PerStructure::from_fn(|s| {
+                    let k = s.index() as f64;
+                    let activity = if idle < 0.25 { 0.0 } else { p * (k + 1.0) / 7.0 };
+                    OperatingPoint::new(
+                        Kelvin::new(t + spread * k / 7.0).unwrap(),
+                        ladder[level].voltage,
+                        ActivityFactor::new(activity).unwrap(),
+                    )
+                });
+                kernel.observe(&ops, weight);
+                reference.observe(&ops, weight);
+            }
+            assert_bit_identical(&kernel.finish(), &reference.finish());
+        }
+    }
 
     fn ops(t: f64) -> PerStructure<OperatingPoint> {
         PerStructure::from_fn(|_| {
@@ -195,6 +335,25 @@ mod tests {
     }
 
     #[test]
+    fn mid_run_voltage_switch_reprepares_tddb() {
+        // A level switch on a 65 nm node, back and forth: the memo must
+        // follow the supply both ways.
+        let node = TechNode::get(NodeId::N65HighV);
+        let ladder = DvsLevel::standard_ladder(&node);
+        let mut kernel = RateAccumulator::new(&standard_models(), node);
+        let mut reference = BoxedReference::new(node);
+        for level in [0, 2, 2, 1, 0] {
+            let mut o = ops(360.0);
+            for s in Structure::ALL {
+                o[s].voltage = ladder[level].voltage;
+            }
+            kernel.observe(&o, 1.0);
+            reference.observe(&o, 1.0);
+        }
+        assert_bit_identical(&kernel.finish(), &reference.finish());
+    }
+
+    #[test]
     fn constant_conditions_average_to_instantaneous() {
         let models = standard_models();
         let node = TechNode::reference();
@@ -203,7 +362,7 @@ mod tests {
             acc.observe(&ops(356.0), 1.0);
         }
         let avg = acc.finish();
-        let em = &models[0];
+        let em = &models.em;
         let expect = em.relative_rate(&ops(356.0)[Structure::Ifu], &node);
         assert!((avg.rate(MechanismKind::Em, Structure::Ifu) - expect).abs() / expect < 1e-12);
         assert!((avg.average_temperature()[Structure::Fpu].value() - 356.0).abs() < 1e-9);

@@ -11,7 +11,7 @@
 //!    temperature and activity seen by any benchmark, held steady).
 
 use crate::executor::Executor;
-use crate::mechanisms::{standard_models, FailureModel};
+use crate::mechanisms::{standard_models, StandardModels};
 use crate::pipeline::{run_app_on_node, AppNodeRun, PipelineConfig, StageTimings};
 use crate::rates::RateAccumulator;
 use crate::results::{AppNodeResult, StudyMetrics, StudyResults, WorstCaseResult};
@@ -263,7 +263,7 @@ pub fn run_study(config: &StudyConfig) -> Result<StudyResults, RampError> {
 fn worst_case_for_node(
     node: NodeId,
     results: &[AppNodeResult],
-    models: &[Box<dyn FailureModel>],
+    models: &StandardModels,
     qualification: &Qualification,
     mode: WorstCaseMode,
 ) -> WorstCaseResult {

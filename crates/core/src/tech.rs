@@ -119,7 +119,7 @@ impl TechNode {
     #[must_use]
     pub fn get(id: NodeId) -> TechNode {
         #[allow(clippy::too_many_arguments)] // private Table-4 row literal
-        fn node(
+        const fn node(
             id: NodeId,
             feature: f64,
             vdd: f64,
@@ -133,35 +133,43 @@ impl TechNode {
         ) -> TechNode {
             TechNode {
                 id,
-                feature: Nanometers::new(feature).expect("static table entry"), // ramp-lint:allow(panic-hygiene) -- static table entry is valid by construction
-                vdd: Volts::new(vdd).expect("static table entry"), // ramp-lint:allow(panic-hygiene) -- static table entry is valid by construction
-                frequency: Gigahertz::new(freq).expect("static table entry"), // ramp-lint:allow(panic-hygiene) -- static table entry is valid by construction
+                feature: Nanometers::new_const(feature),
+                vdd: Volts::new_const(vdd),
+                frequency: Gigahertz::new_const(freq),
                 capacitance_rel: cap,
                 area_rel: area,
-                tox: Angstroms::new(tox).expect("static table entry"), // ramp-lint:allow(panic-hygiene) -- static table entry is valid by construction
-                j_max: CurrentDensity::new(jmax).expect("static table entry"), // ramp-lint:allow(panic-hygiene) -- static table entry is valid by construction
-                leakage_density: PowerDensity::new(leak).expect("static table entry"), // ramp-lint:allow(panic-hygiene) -- static table entry is valid by construction
+                tox: Angstroms::new_const(tox),
+                j_max: CurrentDensity::new_const(jmax),
+                leakage_density: PowerDensity::new_const(leak),
                 scale_factor: kappa,
             }
         }
+        // Each row is a `const` block, so its unit range checks run at
+        // compile time and a lookup is a copy.
         match id {
-            NodeId::N180 => node(id, 180.0, 1.3, 1.1, 1.0, 1.0, 25.0, 9.0, 0.040, 1.0),
-            NodeId::N130 => node(id, 130.0, 1.1, 1.35, 0.7, 0.5, 17.0, 6.0, 0.10, 0.7),
-            NodeId::N90 => node(id, 90.0, 1.0, 1.65, 0.49, 0.25, 12.0, 4.0, 0.25, 0.49),
-            NodeId::N65LowV => {
-                node(id, 65.0, 0.9, 2.0, 0.4, 0.16, 9.0, 4.0, 0.54, 0.392)
-            }
-            NodeId::N65HighV => {
-                node(id, 65.0, 1.0, 2.0, 0.4, 0.16, 9.0, 4.0, 0.60, 0.392)
-            }
+            NodeId::N180 => const {
+                node(NodeId::N180, 180.0, 1.3, 1.1, 1.0, 1.0, 25.0, 9.0, 0.040, 1.0)
+            },
+            NodeId::N130 => const {
+                node(NodeId::N130, 130.0, 1.1, 1.35, 0.7, 0.5, 17.0, 6.0, 0.10, 0.7)
+            },
+            NodeId::N90 => const {
+                node(NodeId::N90, 90.0, 1.0, 1.65, 0.49, 0.25, 12.0, 4.0, 0.25, 0.49)
+            },
+            NodeId::N65LowV => const {
+                node(NodeId::N65LowV, 65.0, 0.9, 2.0, 0.4, 0.16, 9.0, 4.0, 0.54, 0.392)
+            },
+            NodeId::N65HighV => const {
+                node(NodeId::N65HighV, 65.0, 1.0, 2.0, 0.4, 0.16, 9.0, 4.0, 0.60, 0.392)
+            },
             // Projection (§6 "future work"): one more 0.8× generation with
             // the supply pinned at 1.0 V (the noise floor the paper argues
             // for), 22 % frequency growth, ITRS-trend t_ox of 7 Å, the
             // J_max floor of 4.0, and leakage density continuing its
             // ~1.8×/generation climb under aggressive control.
-            NodeId::N45Projected => node(
-                id, 45.0, 1.0, 2.44, 0.32, 0.10, 7.0, 4.0, 1.05, 0.3136,
-            ),
+            NodeId::N45Projected => const {
+                node(NodeId::N45Projected, 45.0, 1.0, 2.44, 0.32, 0.10, 7.0, 4.0, 1.05, 0.3136)
+            },
         }
     }
 

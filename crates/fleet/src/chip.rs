@@ -309,7 +309,7 @@ mod tests {
         let mut killer = MechanismKind::Em;
         for m in MechanismKind::ALL {
             let model = models.iter().find(|mo| mo.kind() == m).unwrap();
-            let mean_years = reference_mean_years(sampler, model.as_ref(), &chip_node, offset);
+            let mean_years = reference_mean_years(sampler, model, &chip_node, offset);
             let drawn = if mean_years == f64::MAX {
                 f64::MAX
             } else if m == MechanismKind::Tc {

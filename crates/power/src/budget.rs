@@ -38,15 +38,15 @@ impl StructureBudgets {
     /// 180 nm matches Table 3's 29.1 W.
     #[must_use]
     pub fn power4_reference() -> Self {
-        let watts = |v: f64| Watts::new(v).expect("static budget is valid"); // ramp-lint:allow(panic-hygiene) -- static budget table is valid by construction
+        // `const` blocks: the table's range checks run at compile time.
         let budgets = PerStructure::from_fn(|s| match s {
-            Structure::Ifu => watts(9.0),
-            Structure::Idu => watts(4.8),
-            Structure::Isu => watts(8.4),
-            Structure::Fxu => watts(8.4),
-            Structure::Fpu => watts(10.8),
-            Structure::Lsu => watts(12.6),
-            Structure::Bxu => watts(3.6),
+            Structure::Ifu => const { Watts::new_const(9.0) },
+            Structure::Idu => const { Watts::new_const(4.8) },
+            Structure::Isu => const { Watts::new_const(8.4) },
+            Structure::Fxu => const { Watts::new_const(8.4) },
+            Structure::Fpu => const { Watts::new_const(10.8) },
+            Structure::Lsu => const { Watts::new_const(12.6) },
+            Structure::Bxu => const { Watts::new_const(3.6) },
         });
         StructureBudgets {
             budgets,

@@ -31,21 +31,6 @@ quantity! {
 impl Sigma {
     /// No scatter: every draw collapses to the distribution's median.
     pub const ZERO: Sigma = Sigma(0.0);
-
-    /// `const` constructor for static sigmas.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time in `const` contexts) if the value is
-    /// negative or not finite.
-    #[must_use]
-    pub const fn new_const(value: f64) -> Sigma {
-        assert!(
-            value >= 0.0 && value <= f64::MAX,
-            "sigma must be non-negative and finite"
-        );
-        Sigma(value)
-    }
 }
 
 quantity! {
@@ -62,7 +47,7 @@ quantity! {
     /// # Ok::<(), ramp_units::UnitError>(())
     /// ```
     Probability, unit = "p", allowed = "0 ..= 1",
-    valid = |v| (0.0..=1.0).contains(&v)
+    valid = |v| v >= 0.0 && v <= 1.0
 }
 
 impl Probability {
@@ -116,23 +101,6 @@ quantity! {
     valid = |v| v > 0.0
 }
 
-impl WeibullShape {
-    /// `const` constructor for static shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time in `const` contexts) if the value is not
-    /// strictly positive or not finite.
-    #[must_use]
-    pub const fn new_const(value: f64) -> WeibullShape {
-        assert!(
-            value > 0.0 && value <= f64::MAX,
-            "Weibull shape must be positive and finite"
-        );
-        WeibullShape(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +120,18 @@ mod tests {
         assert_eq!(S, Sigma::new(0.5).unwrap());
         assert_eq!(B, WeibullShape::new(2.0).unwrap());
         assert_eq!(Sigma::new_const(0.0), Sigma::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "Probability must be finite and 0 ..= 1")]
+    fn const_constructor_rejects_out_of_range_at_run_time() {
+        let _ = Probability::new_const(std::hint::black_box(1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "Sigma must be finite")]
+    fn const_constructor_rejects_infinity_at_run_time() {
+        let _ = Sigma::new_const(std::hint::black_box(f64::INFINITY));
     }
 
     #[test]

@@ -20,7 +20,7 @@ quantity! {
     /// # Ok::<(), ramp_units::UnitError>(())
     /// ```
     Watts, unit = "W", allowed = ">= 0 and < 1e6",
-    valid = |v| (0.0..1e6).contains(&v)
+    valid = |v| v >= 0.0 && v < 1e6
 }
 
 impl Watts {

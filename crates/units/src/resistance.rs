@@ -27,18 +27,6 @@ quantity! {
 }
 
 impl KelvinPerWatt {
-    /// Const constructor for compile-time-known resistances.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time in `const` contexts) if the value is not
-    /// strictly positive or not finite.
-    #[must_use]
-    pub const fn new_const(value: f64) -> KelvinPerWatt {
-        assert!(value > 0.0 && value <= f64::MAX, "resistance must be positive and finite");
-        KelvinPerWatt(value)
-    }
-
     /// Scales the resistance by a dimensionless factor (the paper's
     /// constant-sink-temperature rescaling: `R' = R · P_ref / P_here`).
     ///

@@ -39,18 +39,6 @@ impl Kelvin {
         KelvinDelta((self.0 - other.0).abs())
     }
 
-    /// Const constructor for compile-time-known temperatures.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time when used in a `const` context) if the value
-    /// is outside the valid `(0, 2000)` K range.
-    #[must_use]
-    pub const fn new_const(value: f64) -> Kelvin {
-        assert!(value > 0.0 && value < 2000.0, "temperature out of range");
-        Kelvin(value)
-    }
-
     /// Adds a temperature difference in Kelvin, saturating at the valid
     /// range bounds rather than panicking.
     ///
@@ -114,18 +102,6 @@ quantity! {
 impl KelvinDelta {
     /// A zero-width delta.
     pub const ZERO: KelvinDelta = KelvinDelta(0.0);
-
-    /// Const constructor for compile-time-known tolerances.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time in `const` contexts) if the value is
-    /// negative or non-finite.
-    #[must_use]
-    pub const fn new_const(value: f64) -> KelvinDelta {
-        assert!(value >= 0.0 && value <= f64::MAX, "delta must be non-negative and finite");
-        KelvinDelta(value)
-    }
 
     /// The larger of two deltas. Total because construction rejects NaN.
     #[must_use]

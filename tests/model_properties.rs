@@ -28,7 +28,7 @@ proptest! {
         node_idx in 0usize..5,
     ) {
         let node = TechNode::get(NodeId::ALL[node_idx]);
-        for model in standard_models() {
+        for model in standard_models().iter() {
             let r = model.relative_rate(&op(t, v, p), &node);
             prop_assert!(r.is_finite() && r >= 0.0, "{}: {r}", model.kind());
             let hotter = model.relative_rate(&op(t + 5.0, v, p), &node);
