@@ -3,9 +3,12 @@
 //!
 //! 1. SOFR vs MIN-of-MTTF combination of failure mechanisms.
 //! 2. Running-average instantaneous FIT vs FIT at time-average conditions.
-//! 3. Worst-case vs expected-case qualification margin.
 //! 4. Two-pass heat-sink initialisation vs cold-start transients.
 //! 5. Thermal integration time-step sensitivity.
+//!
+//! Ablation 3 (worst-case vs expected-case qualification margin) reads
+//! the full study's results, so the `paper` binary prints it with
+//! Figure 3; none of the ablations here runs a study.
 //!
 //! ```text
 //! cargo run -p ramp-bench --bin ablations --release
@@ -13,8 +16,7 @@
 
 use ramp_core::mechanisms::{standard_models, MechanismKind};
 use ramp_core::{
-    run_app_on_node, NodeId, OperatingPoint, PipelineConfig, Qualification, RateAccumulator,
-    TechNode,
+    run_app_on_node, OperatingPoint, PipelineConfig, Qualification, RateAccumulator, TechNode,
 };
 use ramp_microarch::{PerStructure, Structure};
 use ramp_thermal::{ThermalParams, ThermalSimulator, ThermalState};
@@ -24,7 +26,6 @@ fn main() {
     ramp_bench::init_obs();
     sofr_vs_min_mttf();
     averaging_vs_mean_conditions();
-    qualification_margin();
     two_pass_vs_cold_start();
     time_step_sensitivity();
 }
@@ -108,33 +109,6 @@ fn averaging_vs_mean_conditions() {
         );
     }
     println!("  Temporal variation must be integrated, not averaged away.");
-    println!();
-}
-
-/// Ablation 3: qualifying for the worst case vs the expected case. If the
-/// design must meet 4000 FIT *at the worst-case operating point*, how much
-/// reliability budget does the average application actually use?
-fn qualification_margin() {
-    println!("=== ablation 3: worst-case vs expected-case qualification ===");
-    let results = ramp_bench::load_or_run_study();
-    for node in [NodeId::N180, NodeId::N65HighV] {
-        let wc = results
-            .worst_case(node)
-            .expect("worst case per node")
-            .fit
-            .total();
-        let avg = results.overall_average_fit(node);
-        let utilisation = avg.value() / wc.value() * 100.0;
-        println!(
-            "  {:<12} worst-case {:.0} FIT, average app {:.0} FIT → typical workload uses {:.0}% of a worst-case budget",
-            node.label(),
-            wc.value(),
-            avg.value(),
-            utilisation
-        );
-    }
-    println!("  Worst-case qualification over-designs for every real workload —");
-    println!("  the paper's case for dynamic reliability management.");
     println!();
 }
 

@@ -78,7 +78,7 @@ impl StudyResults {
     }
 
     /// The node-level aggregate view (one row per node) as CSV — the data
-    /// behind the `study` binary's summary table.
+    /// behind the summary table that opens the `paper` binary's report.
     #[must_use]
     pub fn node_summary_csv(&self) -> String {
         let mut out = String::new();

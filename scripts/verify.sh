@@ -54,6 +54,12 @@ for threads in 1 4; do
         --test parallel_determinism
 done
 
+echo "== paper headlines: full 16x5 study against the paper's bands =="
+# The #[ignore]d full-length study (about 24 s): headline-claim bands
+# plus the default study's pinned results digest, so a change to any
+# number EXPERIMENTS.md quotes fails here.
+cargo test --release --locked --test paper_headlines -- --ignored
+
 echo "== trace smoke: causal trace export, critical path, JSONL events, manifest =="
 # Runs a traced quick study with tracing + metrics fully on, then
 # validates the Chrome Trace Event export (complete events, monotone

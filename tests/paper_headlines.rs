@@ -1,19 +1,25 @@
 //! Full-fidelity reproduction checks of the paper's headline numbers.
 //!
-//! These run the production-length study (a few minutes on one core) and
-//! are therefore `#[ignore]`d by default; run them explicitly with
+//! These run the production-length study (about 20 s in a release build
+//! at two threads on a 2-vCPU VM) and are therefore `#[ignore]`d by default;
+//! `scripts/verify.sh` runs them with
 //!
 //! ```text
-//! cargo test --release --test paper_headlines -- --ignored
+//! cargo test --release --locked --test paper_headlines -- --ignored
 //! ```
 //!
-//! The asserted bands are deliberately generous: EXPERIMENTS.md records
-//! the precise measured-vs-published numbers; these tests guard against
-//! regressions that would break the *shape* of the reproduction.
+//! The asserted bands are deliberately generous: they guard against
+//! regressions that would break the *shape* of the reproduction. The
+//! pinned results digest is exact: any change to a number EXPERIMENTS.md
+//! quotes from the default study fails it.
 
 use ramp_core::mechanisms::MechanismKind;
-use ramp_core::{run_study, NodeId, StudyConfig};
+use ramp_core::{results_digest, run_study, NodeId, StudyConfig};
 use ramp_trace::Suite;
+
+/// `results_digest` of the default study, the one the `paper` binary
+/// reports; independent of the thread count.
+const DEFAULT_STUDY_DIGEST: &str = "86a9add598c71db7";
 
 fn growth(results: &ramp_core::StudyResults, suite: Suite, node: NodeId) -> f64 {
     results
@@ -22,7 +28,7 @@ fn growth(results: &ramp_core::StudyResults, suite: Suite, node: NodeId) -> f64 
 }
 
 #[test]
-#[ignore = "runs the full multi-minute 16x5 study"]
+#[ignore = "runs the full 16x5 study (~20 s in release)"]
 fn full_study_reproduces_headline_bands() {
     let results = run_study(&StudyConfig::default()).expect("full study");
 
@@ -92,4 +98,12 @@ fn full_study_reproduces_headline_bands() {
     };
     assert!((power_avg(Suite::Fp) - 28.51).abs() < 0.2);
     assert!((power_avg(Suite::Int) - 29.66).abs() < 0.2);
+
+    // Exact: a change to any default-study number EXPERIMENTS.md quotes
+    // lands here, even inside every band above.
+    assert_eq!(
+        results_digest(&results),
+        DEFAULT_STUDY_DIGEST,
+        "default study results moved: re-check EXPERIMENTS.md, then re-pin"
+    );
 }
