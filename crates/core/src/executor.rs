@@ -116,20 +116,18 @@ impl Executor {
             return out;
         }
 
-        // Workers are re-rooted at the caller's span path (and, when
-        // causal tracing is on, the caller's trace context) so their
-        // spans aggregate under the same tree node — and link into the
-        // same trace — regardless of which OS thread ran which job.
-        let parent_path = ramp_obs::current_path();
-        let parent_trace = ramp_obs::current_trace();
+        // Workers adopt the caller's span context (its path and, when
+        // causal tracing is on, its trace) so their spans aggregate under
+        // the same tree node and link into the same trace, whichever OS
+        // thread ran which job.
+        let parent = ramp_obs::current_context();
         let next = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let _trace = ramp_obs::adopt_trace(parent_trace.clone());
-                        ramp_obs::with_root_path(&parent_path, || {
+                        ramp_obs::with_context(&parent, || {
                             let mut span = ramp_obs::span!("worker");
                             in_flight.add(1.0);
                             // Workers keep results local and merge once at
@@ -217,13 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn workers_adopt_the_callers_trace_context() {
+    fn workers_adopt_the_callers_span_context() {
         ramp_obs::install_trace(None, 4096);
-        let root = ramp_obs::trace_root("executor-trace-test");
-        let want = root.trace_id().as_u64();
+        let _t = ramp_obs::root_trace(|| "executor-trace-test".to_string());
+        let want = ramp_obs::current_context()
+            .trace_id()
+            .expect("tracing is on")
+            .as_u64();
         {
-            let _t = ramp_obs::adopt_trace(Some(root));
-            let outer = ramp_obs::span!("study");
+            let outer = ramp_obs::span!("executor_context_test");
             let items: Vec<u64> = (0..32).collect();
             let _ = Executor::new(4).map(&items, |&x| x + 1);
             drop(outer);
@@ -239,6 +239,15 @@ mod tests {
         assert!(
             workers.iter().all(|s| s.parent != 0),
             "worker spans attach under the caller's open span, not the root"
+        );
+        let aggregated = ramp_obs::span_stats()
+            .into_iter()
+            .find(|s| s.path == "executor_context_test/worker")
+            .map(|s| s.count);
+        assert_eq!(
+            aggregated,
+            Some(4),
+            "all four worker spans aggregate under the caller's span path"
         );
     }
 }

@@ -265,16 +265,7 @@ impl QueryEngine {
         // causal trace, rooted on the cache key so identical queries map
         // to identical trace ids. Callers that already carry a trace —
         // the serve dispatcher — keep theirs.
-        let _trace = ramp_obs::adopt_trace(
-            if ramp_obs::tracing_enabled() && ramp_obs::current_trace().is_none() {
-                Some(ramp_obs::trace_root(&format!(
-                    "query|{}",
-                    self.cache_key(query)
-                )))
-            } else {
-                None
-            },
-        );
+        let _trace = ramp_obs::root_trace(|| format!("query|{}", self.cache_key(query)));
         let span = ramp_obs::span!(
             "query_evaluate",
             "benchmark={} node={}",

@@ -133,14 +133,8 @@ pub fn run_study(config: &StudyConfig) -> Result<StudyResults, RampError> {
     // Root a causal trace on the config digest: the same study config
     // always yields the same trace id, so traces are comparable across
     // runs. Free when tracing is off (no ring installed).
-    let _trace = ramp_obs::adopt_trace(if ramp_obs::tracing_enabled() {
-        Some(ramp_obs::trace_root(&format!(
-            "study|{}",
-            crate::manifest::config_digest(config)
-        )))
-    } else {
-        None
-    });
+    let _trace =
+        ramp_obs::root_trace(|| format!("study|{}", crate::manifest::config_digest(config)));
     let study_span = ramp_obs::span!(
         "study",
         "benchmarks={} nodes={} threads={}",

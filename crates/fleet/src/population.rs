@@ -159,16 +159,9 @@ pub fn run_fleet(engine: &QueryEngine, config: &FleetConfig) -> Result<FleetResu
     // Root a causal trace on the fleet parameters when nobody upstream
     // (e.g. the serve dispatcher) carries one already. Purely
     // content-derived, so reruns of the same config share a trace id.
-    let _trace = ramp_obs::adopt_trace(
-        if ramp_obs::tracing_enabled() && ramp_obs::current_trace().is_none() {
-            Some(ramp_obs::trace_root(&format!(
-                "fleet|{}|{}|{}",
-                config.benchmark, config.seed, config.chips
-            )))
-        } else {
-            None
-        },
-    );
+    let _trace = ramp_obs::root_trace(|| {
+        format!("fleet|{}|{}|{}", config.benchmark, config.seed, config.chips)
+    });
     let span = ramp_obs::span!(
         "fleet_run",
         "benchmark={} nodes={} chips={} threads={}",

@@ -8,8 +8,12 @@
 //!   [`trace!`]) — formatted message events, filtered per target by
 //!   `RAMP_LOG` (see [`Filter`]).
 //! - **Spans** ([`span!`], [`SpanGuard`]) — nested timing scopes that feed
-//!   both the sinks (as `span_start`/`span_end` events) and the collapsed
-//!   profile registry ([`span_tree`]).
+//!   the sinks (as `span_start`/`span_end` events), the collapsed profile
+//!   registry ([`span_tree`]) and, while causal tracing is on, the span
+//!   ring behind the Perfetto export ([`install_trace`]). One thread-local
+//!   [`SpanContext`] carries both the span path and the causal trace;
+//!   [`current_context`] and [`with_context`] hand it to worker threads
+//!   and queued jobs, and [`root_trace`] starts a trace.
 //! - **Metrics** ([`counter`], [`gauge`], [`histogram`]) — process-wide
 //!   atomics snapshotted into run manifests.
 //! - **Sinks** ([`Sink`], [`install_stderr`], [`install_jsonl`]) — where
@@ -54,9 +58,9 @@ pub use export::{
 };
 pub use level::{Filter, Level};
 pub use metrics::{
-    bucket_percentile, bucket_percentile_with_sums, counter, counter_value,
-    diff_metric_snapshots, gauge, gauge_value, histogram, metrics_snapshot, reset_metrics,
-    Counter, Gauge, Histogram, MetricDelta, MetricSnapshot, MetricValue,
+    bucket_percentile, bucket_percentile_with_sums, counter, counter_value, gauge, gauge_value,
+    histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram, MetricSnapshot,
+    MetricValue,
 };
 pub use profile::{reset_spans, span_stats, span_tree, SpanNode, SpanPathStats};
 pub use ring::{ring_snapshot, ring_stats, tracing_enabled, CompletedSpan, RingStats, SpanRing,
@@ -65,11 +69,10 @@ pub use sink::{
     add_sink, enabled, event_file_path, install_jsonl, install_stderr, reset_sinks,
     Event, EventKind, JsonlSink, Sink, StderrSink,
 };
-pub use span::{current_path, span_guard, with_root_path, SpanGuard};
-pub use trace::{
-    adopt_trace, current_trace, fnv1a_64, trace_root, with_trace, SpanId, TraceCtx, TraceId,
-    TraceScope,
+pub use span::{
+    current_context, root_trace, span_guard, with_context, SpanContext, SpanGuard, TraceScope,
 };
+pub use trace::{fnv1a_64, TraceId};
 
 /// Environment variable naming the JSONL event file ([`init_from_env`]).
 pub const EVENTS_ENV: &str = "RAMP_EVENTS";

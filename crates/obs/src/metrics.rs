@@ -447,81 +447,6 @@ pub fn reset_metrics() {
     registry().clear();
 }
 
-/// The change of one metric between two snapshots.
-///
-/// Counters and histograms report their monotone observation totals in
-/// `before`/`after`, gauges their last-written values; [`MetricDelta::delta`]
-/// is the difference either way. Metrics absent from the earlier snapshot
-/// report `before == 0`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricDelta {
-    /// Registered metric name.
-    pub name: String,
-    /// `"counter"`, `"gauge"`, or `"histogram"`.
-    pub kind: &'static str,
-    /// Value in the earlier snapshot (0 when newly registered).
-    pub before: f64,
-    /// Value in the later snapshot.
-    pub after: f64,
-    /// For histograms, the change in the sum of observed values
-    /// (0 for counters and gauges).
-    pub sum_delta: f64,
-}
-
-impl MetricDelta {
-    /// `after - before`.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.after - self.before
-    }
-
-    /// Whether the metric moved between the snapshots.
-    #[must_use]
-    pub fn changed(&self) -> bool {
-        self.delta() != 0.0 || self.sum_delta != 0.0
-    }
-}
-
-fn snapshot_scalar(value: &MetricValue) -> (&'static str, f64, f64) {
-    match value {
-        MetricValue::Counter(v) => ("counter", *v as f64, 0.0),
-        MetricValue::Gauge(v) => ("gauge", *v, 0.0),
-        MetricValue::Histogram { count, sum, .. } => ("histogram", *count as f64, *sum),
-    }
-}
-
-/// Diffs two metric snapshots (as returned by [`metrics_snapshot`]),
-/// producing one [`MetricDelta`] per metric present in `after`, sorted by
-/// name. Metrics that only exist in `before` (possible after
-/// [`reset_metrics`]) are dropped — a deregistered instrument has no
-/// meaningful delta.
-#[must_use]
-pub fn diff_metric_snapshots(
-    before: &[MetricSnapshot],
-    after: &[MetricSnapshot],
-) -> Vec<MetricDelta> {
-    after
-        .iter()
-        .map(|m| {
-            let (kind, after_value, after_sum) = snapshot_scalar(&m.value);
-            let (before_value, before_sum) = before
-                .iter()
-                .find(|b| b.name == m.name)
-                .map_or((0.0, 0.0), |b| {
-                    let (_, v, s) = snapshot_scalar(&b.value);
-                    (v, s)
-                });
-            MetricDelta {
-                name: m.name.clone(),
-                kind,
-                before: before_value,
-                after: after_value,
-                sum_delta: after_sum - before_sum,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,39 +598,5 @@ mod tests {
     #[test]
     fn bucket_percentile_handles_boundless_histograms() {
         assert_eq!(bucket_percentile(&[], &[5], 50.0), 0.0);
-    }
-
-    #[test]
-    fn diff_reports_counter_gauge_and_histogram_movement() {
-        let c = counter("test.diff.ctr");
-        let g = gauge("test.diff.gauge");
-        let h = histogram("test.diff.hist", &[1.0]);
-        c.add(2);
-        g.set(1.0);
-        let before = metrics_snapshot();
-        c.add(3);
-        g.set(-0.5);
-        h.observe_n(0.25, 4);
-        let after = metrics_snapshot();
-        let deltas = diff_metric_snapshots(&before, &after);
-        let find = |name: &str| deltas.iter().find(|d| d.name == name).unwrap();
-        let ctr = find("test.diff.ctr");
-        assert_eq!((ctr.kind, ctr.delta()), ("counter", 3.0));
-        let gau = find("test.diff.gauge");
-        assert_eq!((gau.kind, gau.delta()), ("gauge", -1.5));
-        let hist = find("test.diff.hist");
-        assert_eq!((hist.kind, hist.delta()), ("histogram", 4.0));
-        assert!((hist.sum_delta - 1.0).abs() < 1e-12);
-        assert!(ctr.changed() && gau.changed() && hist.changed());
-    }
-
-    #[test]
-    fn diff_treats_new_metrics_as_from_zero() {
-        let before = metrics_snapshot();
-        counter("test.diff.fresh").add(7);
-        let after = metrics_snapshot();
-        let deltas = diff_metric_snapshots(&before, &after);
-        let fresh = deltas.iter().find(|d| d.name == "test.diff.fresh").unwrap();
-        assert_eq!((fresh.before, fresh.after), (0.0, 7.0));
     }
 }

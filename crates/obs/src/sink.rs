@@ -220,13 +220,13 @@ pub fn emit(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
         return;
     }
     let message = args.to_string();
-    let path = crate::span::current_path();
+    let context = crate::span::current_context();
     dispatch(&Event {
         kind: EventKind::Message,
         level,
         target,
         name: "",
-        path: &path,
+        path: context.path(),
         message: &message,
         duration_ns: None,
         seq: next_seq(),

@@ -120,7 +120,9 @@ impl Broker {
         }
         let flight = Arc::new(Flight::new());
         flight.leader_trace.store(
-            ramp_obs::current_trace().map_or(0, |c| c.trace_id().as_u64()),
+            ramp_obs::current_context()
+                .trace_id()
+                .map_or(0, ramp_obs::TraceId::as_u64),
             Ordering::Relaxed,
         );
         map.insert(digest.to_string(), Arc::clone(&flight));
@@ -219,9 +221,11 @@ mod tests {
     fn leaders_trace_id_is_visible_to_followers() {
         ramp_obs::install_trace(None, 1024);
         let broker = Broker::new();
-        let root = ramp_obs::trace_root("broker-leader-trace-test");
-        let want = root.trace_id().as_u64();
-        let _t = ramp_obs::adopt_trace(Some(root));
+        let _t = ramp_obs::root_trace(|| "broker-leader-trace-test".to_string());
+        let want = ramp_obs::current_context()
+            .trace_id()
+            .expect("tracing is on")
+            .as_u64();
         let Role::Leader(lead) = broker.join_or_lead("traced") else {
             panic!("first join must lead");
         };

@@ -97,13 +97,14 @@ impl Default for ServeOptions {
 }
 
 /// One unit of admitted work: a digest, the query that leads it, and the
-/// leading request's causal trace (so the execution's spans link back to
-/// the request even though they run on the dispatcher's executor).
+/// leading request's span context (so the execution's spans nest under
+/// the request, in the stage tree and the causal tree alike, even though
+/// they run on the dispatcher's executor).
 #[derive(Debug)]
 struct Job {
     digest: String,
     query: ReliabilityQuery,
-    trace: Option<ramp_obs::TraceCtx>,
+    context: ramp_obs::SpanContext,
 }
 
 /// Monotone server counters (mirrored to `serve.*` obs counters).
@@ -302,7 +303,7 @@ impl ServerState {
                 if let Err(shed) = self.try_admit(Job {
                     digest: digest.clone(),
                     query,
-                    trace: ramp_obs::current_trace(),
+                    context: ramp_obs::current_context(),
                 }) {
                     if matches!(shed, ServeError::Overloaded { .. }) {
                         Stats::bump(&self.stats.overloaded, "serve.overloaded");
@@ -421,16 +422,10 @@ impl ServerState {
         };
         // Latency telemetry lives outside every canonical output surface.
         let started = std::time::Instant::now(); // ramp-lint:allow(determinism) -- request latency telemetry only, never in responses
-        let trace_ctx = if ramp_obs::tracing_enabled() {
-            Some(ramp_obs::trace_root(&format!(
-                "serve|{req_seq}|{:016x}",
-                ramp_obs::fnv1a_64(line)
-            )))
-        } else {
-            None
-        };
-        let trace_id = trace_ctx.as_ref().map(|c| c.trace_id());
-        let _trace = ramp_obs::adopt_trace(trace_ctx);
+        let _trace = ramp_obs::root_trace(|| {
+            format!("serve|{req_seq}|{:016x}", ramp_obs::fnv1a_64(line))
+        });
+        let trace_id = ramp_obs::current_context().trace_id();
         let span = ramp_obs::span!("serve_request", "kind={} id={}", request.kind, request.id);
         let response = match request.kind.as_str() {
             "query" => match self.handle_query(&request) {
@@ -586,15 +581,16 @@ impl ServerState {
     }
 
     fn execute(&self, job: &Job) -> Result<Arc<str>, ServeError> {
-        // Run the evaluation under the leading request's trace, so its
-        // pipeline spans land in that request's causal tree rather than
-        // in a dispatcher-local orphan.
-        let _trace = ramp_obs::adopt_trace(job.trace.clone());
-        Stats::bump(&self.stats.executions, "serve.executions");
-        let outcome = self.engine.evaluate(&job.query)?;
-        let json = serde_json::to_string(&outcome)
-            .map_err(|e| ServeError::Protocol(format!("result serialization failed: {e}")))?;
-        Ok(Arc::from(json.as_str()))
+        // Run the evaluation under the leading request's span context, so
+        // its pipeline spans nest under that request's `serve_request`
+        // span rather than under the dispatcher's batch.
+        ramp_obs::with_context(&job.context, || {
+            Stats::bump(&self.stats.executions, "serve.executions");
+            let outcome = self.engine.evaluate(&job.query)?;
+            let json = serde_json::to_string(&outcome)
+                .map_err(|e| ServeError::Protocol(format!("result serialization failed: {e}")))?;
+            Ok(Arc::from(json.as_str()))
+        })
     }
 
     fn close_admission(&self) {
@@ -970,6 +966,35 @@ mod tests {
             }
         }
         assert_eq!(server.stats().trace_requests, 1);
+    }
+
+    #[test]
+    fn executed_query_nests_under_its_request_in_both_trees() {
+        ramp_obs::install_trace(None, 65_536);
+        let server = Server::start(test_engine(), tiny_options());
+        let query = Request::query(1, "gzip", "180nm").to_line();
+        assert!(Response::parse(&server.handle_line(&query)).unwrap().is_ok());
+        assert_eq!(server.stats().executions, 1, "the query was computed");
+        assert!(
+            ramp_obs::span_stats()
+                .iter()
+                .any(|s| s.path == "serve_request/query_evaluate"),
+            "the dispatcher's execution aggregates under its request's span path"
+        );
+        let line = server.handle_line(&Request::trace(2, Some(1)).to_line());
+        let body = Response::parse(&line).unwrap().trace.expect("trace body present");
+        let spans = &body.traces[0].spans;
+        let find = |name: &str| {
+            spans
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("{name} missing from {spans:?}"))
+        };
+        assert_eq!(
+            find("query_evaluate").parent,
+            find("serve_request").span,
+            "the execution's causal parent is its request's span"
+        );
     }
 
     #[test]

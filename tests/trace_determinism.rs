@@ -118,7 +118,7 @@ fn span_ring_is_bounded_and_counts_drops() {
     init_tracing();
     let before = ramp_obs::ring_stats();
     assert_eq!(before.capacity, RING_CAPACITY as u64);
-    let _trace = ramp_obs::adopt_trace(Some(ramp_obs::trace_root("ring-bound-test")));
+    let _trace = ramp_obs::root_trace(|| "ring-bound-test".to_string());
     let pushes = (RING_CAPACITY * 3) as u64;
     for _ in 0..pushes {
         ramp_obs::span!("ring_filler").finish();
@@ -144,7 +144,7 @@ fn exported_trace_file_is_valid_chrome_trace_json() {
     init_tracing();
     // Guarantee at least one recorded span regardless of test order.
     {
-        let _trace = ramp_obs::adopt_trace(Some(ramp_obs::trace_root("export-check")));
+        let _trace = ramp_obs::root_trace(|| "export-check".to_string());
         ramp_obs::span!("export_probe").finish();
     }
     ramp_obs::flush();
